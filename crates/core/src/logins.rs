@@ -62,41 +62,42 @@ impl TopPasswordsAccumulator {
 
     /// Ranks and buckets the accumulated histograms.
     pub fn finish(self) -> TopPasswords {
-        rank(self.per_pw.into_iter().collect(), self.n)
+        self.snapshot()
     }
 
     /// Non-consuming form of [`TopPasswordsAccumulator::finish`]: ranks
     /// the histograms accumulated so far. A live aggregator publishes
     /// this between pushes; over any stream prefix it equals `finish()`
     /// over that prefix.
+    ///
+    /// Ranks by reference: the top `n` are selected in linear time and
+    /// only they are cloned, so a tick costs O(unique passwords) with no
+    /// per-password allocation.
     pub fn snapshot(&self) -> TopPasswords {
-        rank(
-            self.per_pw
-                .iter()
-                .map(|(p, s)| (p.clone(), s.clone()))
-                .collect(),
-            self.n,
-        )
-    }
-}
-
-/// The shared ranking step behind `finish`/`snapshot`: sort by count
-/// descending (ties lexicographic), keep the top `n`, bucket per month.
-fn rank(mut ranked: Vec<(String, PwStats)>, n: usize) -> TopPasswords {
-    ranked.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-    ranked.truncate(n);
-    let passwords: Vec<String> = ranked.iter().map(|(p, _)| p.clone()).collect();
-    let mut by_month: BTreeMap<Month, Vec<u64>> = BTreeMap::new();
-    for (i, (_, (_, months))) in ranked.iter().enumerate() {
-        for (&month, &count) in months {
-            by_month
-                .entry(month)
-                .or_insert_with(|| vec![0; passwords.len()])[i] = count;
+        // Count descending, ties lexicographic; passwords are distinct,
+        // so the order is total.
+        let by_rank = |a: &(&String, &PwStats), b: &(&String, &PwStats)| {
+            b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(b.0))
+        };
+        let mut ranked: Vec<(&String, &PwStats)> = self.per_pw.iter().collect();
+        if ranked.len() > self.n {
+            ranked.select_nth_unstable_by(self.n, by_rank);
+            ranked.truncate(self.n);
         }
-    }
-    TopPasswords {
-        passwords,
-        by_month,
+        ranked.sort_unstable_by(by_rank);
+        let passwords: Vec<String> = ranked.iter().map(|(p, _)| (*p).clone()).collect();
+        let mut by_month: BTreeMap<Month, Vec<u64>> = BTreeMap::new();
+        for (i, (_, (_, months))) in ranked.iter().enumerate() {
+            for (&month, &count) in months {
+                by_month
+                    .entry(month)
+                    .or_insert_with(|| vec![0; passwords.len()])[i] = count;
+            }
+        }
+        TopPasswords {
+            passwords,
+            by_month,
+        }
     }
 }
 
@@ -315,6 +316,44 @@ mod tests {
         assert_eq!(top.passwords, vec!["admin", "1234"]);
         assert_eq!(top.by_month[&Month::new(2022, 3)], vec![2, 1]);
         assert_eq!(top.by_month[&Month::new(2022, 4)], vec![1, 0]);
+    }
+
+    /// The ranking before selection by reference: clone every entry,
+    /// sort them all, keep the top `n`.
+    fn full_sort_top(per_pw: &HashMap<String, PwStats>, n: usize) -> Vec<String> {
+        let mut all: Vec<(String, u64)> = per_pw.iter().map(|(p, s)| (p.clone(), s.0)).collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.into_iter().take(n).map(|(p, _)| p).collect()
+    }
+
+    proptest::proptest! {
+        /// Over any prefix of a stream whose few passwords tie often,
+        /// the by-reference `snapshot()` equals `finish()` and the
+        /// full-sort ranking.
+        #[test]
+        fn snapshot_equals_finish_over_prefixes_with_ties(
+            picks in proptest::collection::vec(0u8..72, 0..60),
+            n in 0usize..8,
+            cut in 0usize..60,
+        ) {
+            // Six passwords over three months; one pick in six fails.
+            let recs: Vec<SessionRecord> = picks
+                .iter()
+                .map(|&x| {
+                    let date = Date::new(2022, 1 + (x / 6) % 3, 1);
+                    rec(date, "root", &format!("pw{}", x % 6), x < 60, 0, 1)
+                })
+                .collect();
+            let mut acc = TopPasswordsAccumulator::new(n);
+            for r in &recs[..cut.min(recs.len())] {
+                acc.push(r);
+            }
+            let snap = acc.snapshot();
+            proptest::prop_assert_eq!(&snap.passwords, &full_sort_top(&acc.per_pw, n));
+            let done = acc.finish();
+            proptest::prop_assert_eq!(&snap.passwords, &done.passwords);
+            proptest::prop_assert_eq!(&snap.by_month, &done.by_month);
+        }
     }
 
     #[test]

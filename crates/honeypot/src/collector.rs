@@ -28,12 +28,13 @@
 //!
 //! # Id density invariant
 //!
-//! Both [`Collector::ingest`] and [`Collector::ingest_batch`] assign ids
-//! at *store* time, in store order: the ids of stored records are exactly
-//! `0..stats().accepted`, with no gaps, regardless of how many records
-//! were dropped or quarantined along the way. A batch holds the lock for
-//! its whole flush, so the ids of its stored members form the contiguous
-//! range `ingest_batch` returns.
+//! Every entry point ([`Collector::ingest`], [`Collector::ingest_batch`],
+//! [`Collector::commit_batch`]) assigns ids at *store* time, in store
+//! order: the ids of stored records are exactly `0..stats().accepted`,
+//! with no gaps, regardless of how many records were dropped or
+//! quarantined along the way. Each call is one group commit — one
+//! [`SessionSink::commit`] under the lock — so the ids it stores form the
+//! contiguous range it returns.
 
 use crate::record::SessionRecord;
 use netsim::faults::{backoff_delay, FailureInjector};
@@ -58,10 +59,31 @@ pub trait SessionSink: Send {
     /// Appends one stored record. The collector has already assigned the
     /// dense `session_id`.
     fn append(&mut self, rec: &SessionRecord) -> Result<(), SinkError>;
+    /// Appends `batch` in order as one group commit: once this returns
+    /// `Ok`, every record is as durable as the sink promises (a
+    /// WAL-backed store pays one fsync for the whole batch). The default
+    /// appends record by record.
+    fn commit(&mut self, batch: &[SessionRecord]) -> Result<(), CommitError> {
+        for (kept, rec) in batch.iter().enumerate() {
+            self.append(rec)
+                .map_err(|error| CommitError { kept, error })?;
+        }
+        Ok(())
+    }
     /// Flushes and closes the sink (e.g. seals the final segment).
     fn finish(&mut self) -> Result<(), SinkError> {
         Ok(())
     }
+}
+
+/// A failed [`SessionSink::commit`]: the sink kept the first `kept`
+/// records of the batch and none after them.
+#[derive(Debug)]
+pub struct CommitError {
+    /// Leading records of the batch the sink did keep.
+    pub kept: usize,
+    /// Why the rest were not kept.
+    pub error: SinkError,
 }
 
 /// Errors surfaced by the collector's fallible entry points.
@@ -191,6 +213,8 @@ struct Inner {
     stats: IngestStats,
     injector: FailureInjector,
     pass: u64,
+    /// Records of the commit in progress; kept to reuse its allocation.
+    staged: Vec<SessionRecord>,
 }
 
 impl std::fmt::Debug for Inner {
@@ -205,83 +229,119 @@ impl std::fmt::Debug for Inner {
     }
 }
 
+/// What [`Inner::commit`] did.
+struct Committed {
+    /// Ids stored by the commit.
+    ids: std::ops::Range<u64>,
+    /// Fate of the last fresh record, if there was one.
+    last_fresh: Option<IngestOutcome>,
+}
+
 impl Inner {
-    /// Attempts to store `rec` under the next dense id. The write fails
-    /// when the failure injector fires or the spill sink rejects it; the
-    /// record is handed back so the caller can queue a retry.
-    #[allow(clippy::result_large_err)] // Err returns the record itself for requeueing
-    fn attempt_store(&mut self, mut rec: SessionRecord) -> Result<u64, SessionRecord> {
-        if self.injector.fires() {
-            return Err(rec);
-        }
-        let id = self.stats.accepted;
-        rec.session_id = id;
-        match &mut self.sink {
-            Some(sink) => {
-                if let Err(e) = sink.append(&rec) {
-                    self.last_sink_error = Some(e.to_string());
-                    return Err(rec);
-                }
-            }
-            None => self.stored.push(rec),
-        }
-        self.stats.accepted += 1;
-        Ok(id)
-    }
-
-    /// One retry pass over the queue: each due record is retried once;
-    /// records exhausting `max_retries` are dropped.
-    fn flush_retries(&mut self, max_retries: u32) {
-        if self.retry.is_empty() {
-            return;
-        }
-        self.pass += 1;
-        let pass = self.pass;
-        let mut keep = VecDeque::with_capacity(self.retry.len());
-        while let Some(q) = self.retry.pop_front() {
-            if q.ready_at > pass {
-                keep.push_back(q);
-                continue;
-            }
-            if let Err(rec) = self.attempt_store(q.rec) {
-                let failures = q.failures + 1;
-                if failures > max_retries {
-                    self.stats.dropped += 1;
-                } else {
-                    self.stats.retried += 1;
-                    keep.push_back(Queued {
-                        rec,
-                        failures,
-                        ready_at: pass + backoff_delay(1, failures, 1 << 16),
-                    });
-                }
-            }
-        }
-        self.retry = keep;
-    }
-
-    /// Handles one validated record: direct write, deferral, or drop.
-    fn submit(
+    /// Requeues a record whose write failed, or drops it when it is out
+    /// of retries (or is new and the retry queue is full). `prior` is
+    /// how often it had failed before.
+    fn fail(
         &mut self,
         rec: SessionRecord,
-        cfg_cap: Option<usize>,
+        prior: u32,
+        cap: Option<usize>,
         max_retries: u32,
     ) -> IngestOutcome {
-        let rec = match self.attempt_store(rec) {
-            Ok(id) => return IngestOutcome::Stored(id),
-            Err(rec) => rec,
-        };
-        if max_retries == 0 || cfg_cap.is_some_and(|cap| self.retry.len() >= cap) {
+        let failures = prior + 1;
+        let queue_full = prior == 0 && cap.is_some_and(|cap| self.retry.len() >= cap);
+        if failures > max_retries || queue_full {
             self.stats.dropped += 1;
             return IngestOutcome::Dropped;
         }
         self.stats.retried += 1;
         self.retry.push_back(Queued {
             rec,
-            failures: 1,
-            ready_at: self.pass + backoff_delay(1, 1, 1 << 16),
+            failures,
+            ready_at: self.pass + backoff_delay(1, failures, 1 << 16),
         });
         IngestOutcome::Deferred
+    }
+
+    /// One group commit: the retries that are due, then the `fresh`
+    /// records, validated (failures are quarantined), given the next
+    /// dense ids and handed to the sink in one [`SessionSink::commit`].
+    /// A write fails when the failure injector fires or the sink does
+    /// not keep the record; failed records go to the retry queue.
+    /// `on_stored` sees every record stored, in id order, once the
+    /// commit has returned.
+    fn commit(
+        &mut self,
+        fresh: impl IntoIterator<Item = SessionRecord>,
+        cap: Option<usize>,
+        max_retries: u32,
+        on_stored: &mut dyn FnMut(&SessionRecord),
+    ) -> Committed {
+        let mut staged = std::mem::take(&mut self.staged);
+        // Failure counts of the staged retries, which come first.
+        let mut prior: Vec<u32> = Vec::new();
+        if !self.retry.is_empty() {
+            self.pass += 1;
+            for q in std::mem::take(&mut self.retry) {
+                if q.ready_at > self.pass {
+                    self.retry.push_back(q);
+                } else if self.injector.fires() {
+                    self.fail(q.rec, q.failures, cap, max_retries);
+                } else {
+                    prior.push(q.failures);
+                    staged.push(q.rec);
+                }
+            }
+        }
+        let mut last_fresh = None;
+        for rec in fresh {
+            last_fresh = None;
+            if let Err(e) = validate(&rec) {
+                self.stats.quarantined += 1;
+                self.quarantine.push((rec, e));
+                last_fresh = Some(IngestOutcome::Quarantined);
+            } else if self.injector.fires() {
+                last_fresh = Some(self.fail(rec, 0, cap, max_retries));
+            } else {
+                staged.push(rec);
+            }
+        }
+
+        let first = self.stats.accepted;
+        for (id, rec) in (first..).zip(staged.iter_mut()) {
+            rec.session_id = id;
+        }
+        let kept = match &mut self.sink {
+            Some(sink) => match sink.commit(&staged) {
+                Ok(()) => staged.len(),
+                Err(e) => {
+                    self.last_sink_error = Some(e.error.to_string());
+                    e.kept.min(staged.len())
+                }
+            },
+            None => staged.len(),
+        };
+        self.stats.accepted += kept as u64;
+        let ids = first..first + kept as u64;
+        let staged_fresh = staged.len() > prior.len();
+        let mut last_staged = None;
+        for (i, rec) in staged.drain(kept..).enumerate() {
+            let p = prior.get(kept + i).copied().unwrap_or(0);
+            last_staged = Some(self.fail(rec, p, cap, max_retries));
+        }
+        if staged_fresh && last_fresh.is_none() {
+            last_fresh = last_staged.or(Some(IngestOutcome::Stored(ids.end.wrapping_sub(1))));
+        }
+        if self.sink.is_some() {
+            staged.iter().for_each(&mut *on_stored);
+            staged.clear();
+        } else {
+            let from = self.stored.len();
+            self.stored.append(&mut staged);
+            self.stored[from..].iter().for_each(&mut *on_stored);
+        }
+        self.staged = staged;
+        Committed { ids, last_fresh }
     }
 }
 
@@ -317,6 +377,7 @@ impl Collector {
                 stats: IngestStats::default(),
                 injector: FailureInjector::new(cfg.flush_failure_rate, cfg.seed),
                 pass: 0,
+                staged: Vec::new(),
             }),
             capacity: cfg.queue_capacity,
             max_retries: cfg.max_retries,
@@ -338,36 +399,44 @@ impl Collector {
     /// [`IngestOutcome::Stored`] with the assigned dense id.
     pub fn ingest(&self, rec: SessionRecord) -> IngestOutcome {
         let mut inner = self.inner.lock();
-        inner.flush_retries(self.max_retries);
-        if let Err(e) = validate(&rec) {
-            inner.stats.quarantined += 1;
-            inner.quarantine.push((rec, e));
-            return IngestOutcome::Quarantined;
-        }
-        inner.submit(rec, self.capacity, self.max_retries)
+        inner
+            .commit([rec], self.capacity, self.max_retries, &mut |_| {})
+            .last_fresh
+            .expect("one fresh record")
     }
 
     /// Ingests a batch under a single lock acquisition and returns the
-    /// contiguous id range assigned to the batch's *stored* members (see
-    /// the module-level id-density invariant). Deferred, dropped and
-    /// quarantined members are excluded from the range and visible via
-    /// [`Collector::stats`].
+    /// contiguous id range this call stored (see the module-level
+    /// id-density invariant): the batch's stored members, after any
+    /// retries that came due. Deferred, dropped and quarantined members
+    /// are excluded from the range and visible via [`Collector::stats`].
     pub fn ingest_batch(
         &self,
         recs: impl IntoIterator<Item = SessionRecord>,
     ) -> std::ops::Range<u64> {
+        self.commit_batch(recs, |_| {})
+    }
+
+    /// Group commit: ingests `recs` together with any retries that are
+    /// due, handing every record stored to the sink in one
+    /// [`SessionSink::commit`] (one fsync on a WAL-backed store). Once
+    /// the commit has returned, `on_stored` sees each stored record in id
+    /// order — what a live consumer may publish as durable. Returns the
+    /// ids stored, which may include retried records from earlier calls.
+    pub fn commit_batch(
+        &self,
+        recs: impl IntoIterator<Item = SessionRecord>,
+        mut on_stored: impl FnMut(&SessionRecord),
+    ) -> std::ops::Range<u64> {
         let mut inner = self.inner.lock();
-        inner.flush_retries(self.max_retries);
-        let first = inner.stored.len() as u64;
-        for rec in recs {
-            if let Err(e) = validate(&rec) {
-                inner.stats.quarantined += 1;
-                inner.quarantine.push((rec, e));
-                continue;
-            }
-            inner.submit(rec, self.capacity, self.max_retries);
-        }
-        first..inner.stored.len() as u64
+        inner
+            .commit(recs, self.capacity, self.max_retries, &mut on_stored)
+            .ids
+    }
+
+    /// Whether failed writes are still queued for retry.
+    pub fn has_retries(&self) -> bool {
+        !self.inner.lock().retry.is_empty()
     }
 
     /// Number of sessions stored.
@@ -411,7 +480,12 @@ impl Collector {
     ) {
         let mut inner = self.inner.into_inner();
         while !inner.retry.is_empty() {
-            inner.flush_retries(self.max_retries);
+            inner.commit(
+                std::iter::empty(),
+                self.capacity,
+                self.max_retries,
+                &mut |_| {},
+            );
         }
         let mut v = inner.stored;
         v.sort_by_key(|r| (r.start, r.session_id));
@@ -428,7 +502,12 @@ impl Collector {
     ) -> Result<(IngestStats, Vec<(SessionRecord, ValidationError)>), CollectorError> {
         let mut inner = self.inner.into_inner();
         while !inner.retry.is_empty() {
-            inner.flush_retries(self.max_retries);
+            inner.commit(
+                std::iter::empty(),
+                self.capacity,
+                self.max_retries,
+                &mut |_| {},
+            );
         }
         if let Some(mut sink) = inner.sink.take() {
             sink.finish().map_err(|e| CollectorError::Sink {
@@ -672,6 +751,78 @@ mod tests {
         let mut ids = seen.lock().clone();
         ids.sort_unstable();
         assert_eq!(ids, (0..stats.accepted).collect::<Vec<u64>>());
+    }
+
+    /// A sink that counts commits and keeps only a prefix of one batch.
+    struct BatchSink {
+        commits: Arc<Mutex<Vec<Vec<u64>>>>,
+        /// Keep this many records of the next commit, then fail.
+        fail_after: Option<usize>,
+    }
+
+    impl SessionSink for BatchSink {
+        fn append(&mut self, _rec: &SessionRecord) -> Result<(), SinkError> {
+            unreachable!("the collector commits in batches")
+        }
+
+        fn commit(&mut self, batch: &[SessionRecord]) -> Result<(), CommitError> {
+            let kept = self
+                .fail_after
+                .take()
+                .unwrap_or(batch.len())
+                .min(batch.len());
+            let ids = batch[..kept].iter().map(|r| r.session_id).collect();
+            self.commits.lock().push(ids);
+            if kept < batch.len() {
+                return Err(CommitError {
+                    kept,
+                    error: "injected commit failure".into(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn commit_batch_is_one_sink_commit_and_reports_stored_records() {
+        let commits = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig::default(),
+            Box::new(BatchSink {
+                commits: Arc::clone(&commits),
+                fail_after: None,
+            }),
+        );
+        let mut bad = rec(2);
+        bad.end = bad.start.plus_secs(-1);
+        let mut seen = Vec::new();
+        let ids = c.commit_batch([rec(1), bad, rec(3)], |r| seen.push(r.session_id));
+        assert_eq!(ids, 0..2);
+        assert_eq!(seen, vec![0, 1], "stored records, in id order");
+        assert_eq!(*commits.lock(), vec![vec![0, 1]], "one commit per batch");
+        assert_eq!(c.stats().quarantined, 1);
+    }
+
+    #[test]
+    fn partly_kept_commit_retries_the_rest_with_dense_ids() {
+        let commits = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig::default(),
+            Box::new(BatchSink {
+                commits: Arc::clone(&commits),
+                fail_after: Some(2),
+            }),
+        );
+        let mut seen = Vec::new();
+        let ids = c.commit_batch((0..5).map(|h| rec(h as u8)), |r| seen.push(r.session_id));
+        assert_eq!(ids, 0..2, "the kept prefix is stored");
+        assert!(c.has_retries());
+        let (stats, _) = c.into_sink_parts().expect("sink closes");
+        assert_eq!(stats.accepted, 5);
+        assert_eq!(stats.retried, 3);
+        let stored: Vec<u64> = commits.lock().iter().flatten().copied().collect();
+        assert_eq!(stored, (0..5).collect::<Vec<u64>>(), "ids stay dense");
+        assert_eq!(seen, vec![0, 1]);
     }
 
     #[test]

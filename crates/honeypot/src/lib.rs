@@ -39,8 +39,8 @@ pub mod wire_telnet;
 
 pub use auth::AuthPolicy;
 pub use collector::{
-    ingest_parallel, panic_message, Collector, CollectorConfig, CollectorError, IngestOutcome,
-    IngestStats, SessionSink, SinkError,
+    ingest_parallel, panic_message, Collector, CollectorConfig, CollectorError, CommitError,
+    IngestOutcome, IngestStats, SessionSink, SinkError,
 };
 pub use cowrie_log::{
     from_cowrie_log, from_cowrie_log_lossy, to_cowrie_events, to_cowrie_log, LossyImport,

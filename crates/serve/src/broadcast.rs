@@ -17,9 +17,8 @@
 //!   frame; a subscriber that cannot keep up loses frames (counted),
 //!   rather than exerting backpressure upstream.
 //!
-//! Serving threads interact with the plane exclusively through an
-//! `mpsc::Sender` (see `stats::AggEvent`), the same lock-free handoff
-//! already used on the accept→shard path.
+//! Serving threads interact with the plane only by handing finished
+//! records to the capture queue (see `capture::CaptureQueue`).
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -270,13 +269,16 @@ mod tests {
     fn snapshot_cell_concurrent_stress() {
         let (cell, mut publisher) = SnapshotCell::new(Arc::new(vec![0u64; 32]));
         let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicUsize::new(0));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut loads = 0u64;
+                    started.fetch_add(1, Ordering::Relaxed);
                     while !stop.load(Ordering::Relaxed) {
                         let snap = cell.load();
                         // Every element equals the generation: a torn or
@@ -291,6 +293,11 @@ mod tests {
                 })
             })
             .collect();
+        // Publish only once every reader runs, so the loads overlap the
+        // publishes even when the readers are slow to be scheduled.
+        while started.load(Ordering::Relaxed) < 4 {
+            std::thread::yield_now();
+        }
         for g in 1..=10_000u64 {
             publisher.publish(Arc::new(vec![g; 32]));
         }

@@ -377,7 +377,9 @@ impl<'s> Conn<'s> {
     }
 
     /// Converts the finished connection into a [`SessionRecord`],
-    /// mirroring `honeypot::wire::run_wire_session`'s conversion.
+    /// mirroring `honeypot::wire::run_wire_session`'s conversion. The
+    /// session counts as `completed` only once the capture thread has
+    /// committed the record.
     pub fn finish(self, sensor: SensorIdentity, stats: &ServeStats) -> SessionRecord {
         let ending = self.ending.unwrap_or(Ending::Client);
         let elapsed = self.started.elapsed().as_secs() as i64;
@@ -418,7 +420,6 @@ impl<'s> Conn<'s> {
             }
         };
         let (uris, file_events) = handler.shell.take_observations();
-        stats.completed.fetch_add(1, Ordering::Relaxed);
         SessionRecord {
             session_id: 0, // the collector assigns dense ids
             honeypot_id: sensor.honeypot_id,

@@ -12,9 +12,12 @@
 //!   accept thread (ssh)  ──┐                 ┌── shard 0 ── poll loop over its conns
 //!   accept thread (telnet)─┼─ admission ─────┼── shard 1 ── …
 //!                          │  (global cap,   └── shard N-1
-//!                          │   per-IP limit)        │ completed sessions
-//!                          │                        ▼
-//!   stats thread           │                  honeypot::Collector ── sessiondb store
+//!                          │   per-IP limit,        │ finished records, moved
+//!                          │   capture slot)        ▼
+//!                          │                  bounded capture queue
+//!                          │                        │
+//!                          │   capture thread: group commit (honeypot::Collector
+//!                          │   ── sessiondb store), then live stats and SSE
 //! ```
 //!
 //! * **Sharded accept loop** — one non-blocking accept thread per
@@ -23,7 +26,8 @@
 //!   cross-thread locking on the hot path) and polls them with
 //!   non-blocking reads/writes, so one slow client never stalls the rest.
 //! * **Admission control** — a connection is shed *at accept time* when
-//!   the global concurrent-connection cap or the per-IP limit is reached:
+//!   the global concurrent-connection cap or the per-IP limit is reached,
+//!   or when the capture queue has no room for its future record:
 //!   the socket is dropped before any protocol state is allocated, which
 //!   is the only backpressure that actually protects the process from an
 //!   accept storm.
@@ -33,16 +37,19 @@
 //!   [`honeypot::SessionEndReason::Timeout`], exactly like Cowrie's
 //!   3-minute timer.
 //! * **Durable spill** — completed sessions convert to
-//!   [`honeypot::SessionRecord`]s and stream through the hardened
-//!   [`honeypot::Collector`] (retry/backoff/quarantine) into a live
-//!   [`sessiondb`] store, so a server that has been up for a year has a
-//!   store on disk that `honeylab analyze` reads directly.
+//!   [`honeypot::SessionRecord`]s and are group-committed by one capture
+//!   thread ([`capture`]) through the hardened [`honeypot::Collector`]
+//!   (retry/backoff/quarantine) into a live [`sessiondb`] store, so a
+//!   server that has been up for a year has a store on disk that
+//!   `honeylab analyze` reads directly.
 //! * **Graceful shutdown** — trigger → accept loops stop and listeners
 //!   close → shards drain in-flight sessions (bounded by a drain timeout)
-//!   → collector retries flush → the final partial segment is sealed.
+//!   → the capture thread commits what is queued and retries flush → the
+//!   final partial segment is sealed.
 
 pub mod barrage;
 pub mod broadcast;
+pub mod capture;
 pub mod conn;
 pub mod http;
 pub mod reactor;
@@ -495,9 +502,13 @@ pub struct ServeStats {
     pub shed_capacity: AtomicU64,
     /// Connections shed because the source IP hit its limit.
     pub shed_per_ip: AtomicU64,
+    /// Connections shed because open connections plus records awaiting
+    /// their commit filled the capture queue.
+    pub shed_capture_backlog: AtomicU64,
     /// Connections currently being served (gauge).
     pub active: AtomicUsize,
-    /// Sessions completed and handed to the collector.
+    /// Sessions completed: finished cleanly and committed by the
+    /// capture thread (durable, per the fsync policy, with a store).
     pub completed: AtomicU64,
     /// Sessions ended by idle/total timeout (subset of `completed`).
     pub timed_out: AtomicU64,
@@ -524,6 +535,8 @@ pub struct StatsSnapshot {
     pub shed_capacity: u64,
     /// Shed on the per-IP limit.
     pub shed_per_ip: u64,
+    /// Shed on a full capture queue.
+    pub shed_capture_backlog: u64,
     /// Currently active connections.
     pub active: usize,
     /// Sessions completed.
@@ -551,6 +564,7 @@ impl ServeStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed_capacity: self.shed_capacity.load(Ordering::Relaxed),
             shed_per_ip: self.shed_per_ip.load(Ordering::Relaxed),
+            shed_capture_backlog: self.shed_capture_backlog.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
@@ -568,13 +582,14 @@ impl StatsSnapshot {
     /// One-line rendering for the periodic stats log.
     pub fn render(&self) -> String {
         format!(
-            "accepted={} active={} completed={} timed_out={} shed={}+{} wire_errors={} in={}B out={}B accept_errors={} panics={} respawns={}",
+            "accepted={} active={} completed={} timed_out={} shed={}+{}+{} wire_errors={} in={}B out={}B accept_errors={} panics={} respawns={}",
             self.accepted,
             self.active,
             self.completed,
             self.timed_out,
             self.shed_capacity,
             self.shed_per_ip,
+            self.shed_capture_backlog,
             self.wire_errors,
             self.bytes_in,
             self.bytes_out,
@@ -597,6 +612,7 @@ impl StatsSnapshot {
             ("timed_out", Json::u64(self.timed_out)),
             ("shed_capacity", Json::u64(self.shed_capacity)),
             ("shed_per_ip", Json::u64(self.shed_per_ip)),
+            ("shed_capture_backlog", Json::u64(self.shed_capture_backlog)),
             ("wire_errors", Json::u64(self.wire_errors)),
             ("bytes_in", Json::u64(self.bytes_in)),
             ("bytes_out", Json::u64(self.bytes_out)),
@@ -907,6 +923,7 @@ mod tests {
             "timed_out",
             "shed_capacity",
             "shed_per_ip",
+            "shed_capture_backlog",
             "wire_errors",
             "bytes_in",
             "bytes_out",

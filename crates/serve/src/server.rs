@@ -1,6 +1,6 @@
 //! Server orchestration: listeners, sharded accept loops, supervised
-//! worker pool, the stats/observability aggregator, the HTTP plane, and
-//! graceful drain.
+//! worker pool, the capture thread (store and observability
+//! aggregator), the HTTP plane, and graceful drain.
 //!
 //! # Engines
 //!
@@ -28,15 +28,26 @@
 //! per-connection guard), the supervisor respawns it and re-homes its
 //! intake queue, so the server keeps accepting at full width; the
 //! panic message is reported through [`ServeReport::shard_panics`].
-//! Accept/supervisor/stats threads have no respawn layer — a panic
+//! Accept/supervisor/capture threads have no respawn layer — a panic
 //! there surfaces as [`ServeError::ThreadPanicked`] from
 //! [`ServerHandle::join`].
+//!
+//! # Capture
+//!
+//! Shards never write the store. A finished connection's record moves
+//! into the bounded [`crate::capture::CaptureQueue`] and the capture
+//! thread group-commits it (see [`crate::capture`]). Each admitted
+//! connection carries a [`CaptureSlot`] from accept on, so the queue
+//! always has room for its record.
 
+use crate::capture::{
+    capacity_for, spawn_capture, CaptureConfig, CaptureHandle, CaptureQueue, CaptureSlot,
+};
 use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
 use crate::reactor::{
     conn_interest, Backoff, Event, Interest, Poller, PopResult, ShardQueue, TimerWheel, Waker,
 };
-use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
+use crate::stats::ApiSnapshot;
 use crate::{
     Admission, ChaosConfig, Engine, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot,
 };
@@ -59,11 +70,12 @@ enum Proto {
 }
 
 /// An admitted connection in flight from an accept thread to its shard.
-/// Carries its gate permit, so a connection dropped anywhere along the
-/// way (queue teardown, shard death) releases its slot.
+/// Carries its gate permit and capture slot, so a connection dropped
+/// anywhere along the way (queue teardown, shard death) releases both.
 struct Admitted {
     stream: TcpStream,
     permit: crate::GatePermit,
+    capture: CaptureSlot,
     client_port: u16,
     proto: Proto,
     start_unix: i64,
@@ -107,7 +119,6 @@ struct Intake {
 #[derive(Clone)]
 struct ShardCtx {
     remote: SharedStore,
-    collector: Arc<Collector>,
     stats: Arc<ServeStats>,
     shutdown: Arc<AtomicBool>,
     sensor: SensorIdentity,
@@ -115,30 +126,20 @@ struct ShardCtx {
     session_timeout: Duration,
     drain_timeout: Duration,
     chaos: ChaosConfig,
-    agg_tx: std::sync::mpsc::Sender<AggEvent>,
 }
 
 impl ShardCtx {
-    /// Records a cleanly finished connection: convert, mirror to the
-    /// live aggregator (a clone over mpsc — no locks, no blocking; a
-    /// dead aggregator just fails the send), ingest into the store.
-    fn record_finished(&self, conn: Conn<'_>) {
-        let record = conn.finish(self.sensor, &self.stats);
-        let _ = self
-            .agg_tx
-            .send(AggEvent::Session(Box::new(record.clone())));
-        self.collector.ingest(record);
+    /// Records a cleanly finished connection: its record moves into the
+    /// capture queue, where the slot it held since accept is waiting.
+    fn record_finished(&self, conn: Conn<'_>, capture: CaptureSlot) {
+        capture.push(conn.finish(self.sensor, &self.stats), true);
     }
 
     /// Records a connection whose pump panicked: plain fields only (the
-    /// machine may be poisoned), same mirror + ingest path.
-    fn record_failed(&self, conn: Conn<'_>) {
+    /// machine may be poisoned), same capture path.
+    fn record_failed(&self, conn: Conn<'_>, capture: CaptureSlot) {
         self.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-        let record = conn.into_failed(self.sensor);
-        let _ = self
-            .agg_tx
-            .send(AggEvent::Session(Box::new(record.clone())));
-        self.collector.ingest(record);
+        capture.push(conn.into_failed(self.sensor), false);
     }
 }
 
@@ -164,7 +165,7 @@ impl Server {
         }
 
         let mut recovery = None;
-        let collector = Arc::new(match &cfg.store_dir {
+        let collector = match &cfg.store_dir {
             Some(dir) => {
                 let opts = StoreOptions {
                     rows_per_segment: cfg.rows_per_segment,
@@ -178,7 +179,7 @@ impl Server {
                 Collector::with_sink(cfg.collector.clone(), Box::new(writer))
             }
             None => Collector::with_config(cfg.collector.clone()),
-        });
+        };
 
         let mut listeners = Vec::new();
         for (port, proto) in [(cfg.ssh_port, Proto::Ssh), (cfg.telnet_port, Proto::Telnet)] {
@@ -225,6 +226,21 @@ impl Server {
             }));
         }
 
+        // The capture thread owns the collector (and so the store) and
+        // publishes the lock-free snapshots the HTTP plane reads. Shards
+        // hand it finished records by move; accept reserves their room.
+        let capture = spawn_capture(
+            collector,
+            CaptureConfig {
+                stats: Arc::clone(&stats),
+                shutdown: Arc::clone(&shutdown),
+                recent_cap: cfg.recent_tail,
+                stats_interval: cfg.stats_interval,
+                recovery: recovery.clone(),
+                capacity: capacity_for(cfg.max_connections),
+            },
+        );
+
         let mut addrs = ListenAddrs::default();
         let mut accept_threads = Vec::new();
         for (listener, proto) in listeners {
@@ -246,39 +262,28 @@ impl Server {
             let gate = Arc::clone(&gate);
             let shutdown = Arc::clone(&shutdown);
             let seq = Arc::clone(&seq);
+            let queue = Arc::clone(&capture.queue);
             accept_threads.push(
                 std::thread::Builder::new()
                     .name(format!("accept-{proto:?}").to_lowercase())
                     .spawn(move || {
                         accept_loop(
-                            listener, proto, engine, &intakes, &stats, &gate, &shutdown, &seq,
+                            listener, proto, engine, &intakes, &stats, &gate, &queue, &shutdown,
+                            &seq,
                         )
                     })
                     .expect("spawn accept thread"),
             );
         }
 
-        // The aggregator replaces the old dedicated stats thread: it
-        // owns the periodic stderr line *and* publishes the lock-free
-        // snapshots the HTTP plane reads. Shards feed it cloned records
-        // over its channel; it costs nothing on the accept path.
-        let aggregator = spawn_aggregator(
-            Arc::clone(&stats),
-            Arc::clone(&shutdown),
-            cfg.recent_tail,
-            cfg.stats_interval,
-        );
-        if let Some(report) = &recovery {
-            let _ = aggregator.tx.send(AggEvent::Recovery(report.clone()));
-        }
         let http = match cfg.http_port {
             Some(port) => {
                 let handle = crate::http::start(
                     cfg.bind,
                     port,
                     cfg.http_workers,
-                    Arc::clone(&aggregator.cell),
-                    Arc::clone(&aggregator.bus),
+                    Arc::clone(&capture.cell),
+                    Arc::clone(&capture.bus),
                     Arc::clone(&shutdown),
                 )?;
                 addrs.http = Some(handle.addr);
@@ -289,7 +294,6 @@ impl Server {
 
         let ctx = ShardCtx {
             remote,
-            collector: Arc::clone(&collector),
             stats: Arc::clone(&stats),
             shutdown: Arc::clone(&shutdown),
             sensor: SensorIdentity {
@@ -300,7 +304,6 @@ impl Server {
             session_timeout: cfg.session_timeout,
             drain_timeout: cfg.drain_timeout,
             chaos: cfg.chaos,
-            agg_tx: aggregator.tx.clone(),
         };
         let shard_panics: Arc<parking_lot::Mutex<Vec<String>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -318,11 +321,10 @@ impl Server {
             gate,
             shutdown,
             recovery,
-            collector: Some(collector),
             accept_threads,
             supervisor: Some(supervisor),
             shard_panics,
-            aggregator: Some(aggregator),
+            capture: Some(capture),
             http,
         })
     }
@@ -404,6 +406,7 @@ impl ServeReport {
                 accepted: 202,
                 shed_capacity: 0,
                 shed_per_ip: 0,
+                shed_capture_backlog: 0,
                 active: 0,
                 completed: 200,
                 timed_out: 1,
@@ -433,11 +436,10 @@ pub struct ServerHandle {
     gate: Arc<Gate>,
     shutdown: Arc<AtomicBool>,
     recovery: Option<RecoveryReport>,
-    collector: Option<Arc<Collector>>,
     accept_threads: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     shard_panics: Arc<parking_lot::Mutex<Vec<String>>>,
-    aggregator: Option<AggregatorHandle>,
+    capture: Option<CaptureHandle>,
     http: Option<crate::http::HttpHandle>,
 }
 
@@ -466,7 +468,7 @@ impl ServerHandle {
     /// The most recently published observability snapshot (same
     /// lock-free read path the HTTP endpoints use).
     pub fn api_snapshot(&self) -> Option<Arc<ApiSnapshot>> {
-        self.aggregator.as_ref().map(|a| a.cell.load())
+        self.capture.as_ref().map(|c| c.cell.load())
     }
 
     /// Starts graceful shutdown: accept loops stop, shards drain.
@@ -481,9 +483,10 @@ impl ServerHandle {
 
     /// Triggers shutdown (idempotent), waits for every thread, seals the
     /// store, and returns the final accounting. A panic in any
-    /// accept/supervisor/stats thread surfaces as
+    /// accept/supervisor/capture thread surfaces as
     /// [`ServeError::ThreadPanicked`] — after the store is sealed, so a
-    /// sick run still keeps its data.
+    /// sick run still keeps its data. (A dead capture thread cannot seal;
+    /// the WAL keeps what it committed for recovery on the next open.)
     pub fn join(mut self) -> Result<ServeReport, ServeError> {
         self.trigger_shutdown();
         let mut thread_panic: Option<(String, String)> = None;
@@ -502,13 +505,18 @@ impl ServerHandle {
         if let Some(t) = self.supervisor.take() {
             note_panic("shard-supervisor", t.join());
         }
-        // All shard senders are gone once the supervisor returns, so
-        // dropping the handle's sender disconnects the aggregator; it
-        // publishes a final snapshot covering every ingested session and
-        // exits.
-        if let Some(agg) = self.aggregator.take() {
-            note_panic("serve-aggregator", agg.join());
-        }
+        // Every shard has pushed its last record once the supervisor
+        // returns, so closing the queue lets the capture thread commit
+        // the rest, publish a final snapshot covering every stored
+        // session, and hand the collector back.
+        let collector = match self.capture.take().map(CaptureHandle::join) {
+            Some(Ok(collector)) => Some(collector),
+            Some(Err(payload)) => {
+                note_panic("serve-aggregator", Err(payload));
+                None
+            }
+            None => None,
+        };
         if let Some(http) = self.http.take() {
             if let Err((thread, message)) = http.join() {
                 if thread_panic.is_none() {
@@ -516,13 +524,12 @@ impl ServerHandle {
                 }
             }
         }
-        let collector = self.collector.take().expect("join called once");
-        let collector = Collector::try_from_arc(collector).map_err(|e| ServeError::Collector {
-            message: e.to_string(),
-        })?;
-        let (ingest, quarantine) = collector
-            .into_sink_parts()
-            .map_err(|e| map_collector_error(&e))?;
+        let (ingest, quarantine) = match collector {
+            Some(collector) => collector
+                .into_sink_parts()
+                .map_err(|e| map_collector_error(&e))?,
+            None => (IngestStats::default(), Vec::new()),
+        };
         if let Some((thread, message)) = thread_panic {
             return Err(ServeError::ThreadPanicked { thread, message });
         }
@@ -632,6 +639,7 @@ fn accept_loop(
     intakes: &[Arc<Intake>],
     stats: &Arc<ServeStats>,
     gate: &Arc<Gate>,
+    capture: &Arc<CaptureQueue>,
     shutdown: &Arc<AtomicBool>,
     seq: &AtomicU64,
 ) {
@@ -678,14 +686,21 @@ fn accept_loop(
                             continue;
                         }
                     };
+                    let Some(slot) = capture.reserve() else {
+                        // The capture thread is behind: its queue has no
+                        // room for one more record.
+                        stats.shed_capture_backlog.fetch_add(1, Ordering::Relaxed);
+                        continue; // dropping permit and stream sheds it
+                    };
                     if stream.set_nonblocking(true).is_err() {
-                        continue; // dropping the permit releases the slot
+                        continue; // dropping permit and slot releases them
                     }
                     let _ = stream.set_nodelay(true);
                     let n = seq.fetch_add(1, Ordering::Relaxed);
                     let admitted = Admitted {
                         stream,
                         permit,
+                        capture: slot,
                         client_port: peer.port(),
                         proto,
                         start_unix: now_unix(),
@@ -817,9 +832,12 @@ fn chaos_injectors(
     (conn_chaos, shard_chaos)
 }
 
-fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn honeypot::shell::RemoteStore) -> Conn<'s> {
+fn build_conn<'s>(
+    a: Admitted,
+    remote_ref: &'s dyn honeypot::shell::RemoteStore,
+) -> (Conn<'s>, CaptureSlot) {
     let handler = LiveHandler::new(AuthPolicy::default(), remote_ref);
-    match a.proto {
+    let conn = match a.proto {
         Proto::Ssh => Conn::ssh(
             a.stream,
             a.permit,
@@ -829,7 +847,8 @@ fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn honeypot::shell::RemoteStore)
             a.seq,
         ),
         Proto::Telnet => Conn::telnet(a.stream, a.permit, a.client_port, handler, a.start_unix),
-    }
+    };
+    (conn, a.capture)
 }
 
 /// One polled worker shard: owns its connections, scans them without
@@ -841,7 +860,7 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
     let (mut conn_chaos, mut shard_chaos) = chaos_injectors(ctx, index, generation);
     // `doomed` marks connections the chaos config sentenced at intake;
     // the panic fires inside the per-connection guard.
-    let mut conns: Vec<(Conn<'_>, bool)> = Vec::new();
+    let mut conns: Vec<(Conn<'_>, bool, CaptureSlot)> = Vec::new();
     let mut intake_open = true;
     let mut drain_started: Option<Instant> = None;
     let mut nap = Backoff::new(Duration::from_millis(1));
@@ -862,7 +881,8 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
                     }
                     took_any = true;
                     let doomed = conn_chaos.fires();
-                    conns.push((build_conn(a, remote_ref), doomed));
+                    let (conn, capture) = build_conn(a, remote_ref);
+                    conns.push((conn, doomed, capture));
                 }
                 PopResult::Empty => break,
                 PopResult::Closed => {
@@ -885,7 +905,7 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
         let mut i = 0;
         while i < conns.len() {
             let pumped = {
-                let (conn, doomed) = &mut conns[i];
+                let (conn, doomed, _) = &mut conns[i];
                 if force_close {
                     conn.abort();
                 }
@@ -900,16 +920,16 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
                 Ok(false) => i += 1,
                 Ok(true) => {
                     finished_any = true;
-                    let (conn, _) = conns.swap_remove(i);
-                    ctx.record_finished(conn);
+                    let (conn, _, capture) = conns.swap_remove(i);
+                    ctx.record_finished(conn, capture);
                 }
                 Err(_payload) => {
                     // Contained: record a failed session from plain
                     // fields only (the machine may be poisoned), release
                     // the slot via the permit, keep the shard alive.
                     finished_any = true;
-                    let (conn, _) = conns.swap_remove(i);
-                    ctx.record_failed(conn);
+                    let (conn, _, capture) = conns.swap_remove(i);
+                    ctx.record_failed(conn, capture);
                 }
             }
         }
@@ -938,6 +958,7 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
 /// stale timer-wheel entries after the slot is reused.
 struct ShardSlot<'s> {
     conn: Conn<'s>,
+    capture: CaptureSlot,
     doomed: bool,
     generation: u64,
     armed: Interest,
@@ -1031,8 +1052,8 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                 out_pool.push(buf);
             }
             match pumped {
-                Err(_payload) => ctx.record_failed(slot.conn),
-                _ => ctx.record_finished(slot.conn),
+                Err(_payload) => ctx.record_failed(slot.conn, slot.capture),
+                _ => ctx.record_finished(slot.conn, slot.capture),
             }
             free.push(i);
             *live -= 1;
@@ -1067,7 +1088,7 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                         panic!("chaos: injected shard panic");
                     }
                     let doomed = conn_chaos.fires();
-                    let mut conn = build_conn(a, remote_ref);
+                    let (mut conn, capture) = build_conn(a, remote_ref);
                     if let Some(buf) = out_pool.pop() {
                         conn.adopt_out_buffer(buf);
                     }
@@ -1078,6 +1099,7 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                     slot_gen += 1;
                     slots[i] = Some(ShardSlot {
                         conn,
+                        capture,
                         doomed,
                         generation: slot_gen,
                         armed: Interest::READ,
@@ -1096,7 +1118,7 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                             // rather than strand it unpumped forever.
                             let mut slot = slots[i].take().expect("just placed");
                             slot.conn.abort();
-                            ctx.record_finished(slot.conn);
+                            ctx.record_finished(slot.conn, slot.capture);
                             free.push(i);
                             live -= 1;
                             continue;

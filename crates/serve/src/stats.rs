@@ -1,56 +1,39 @@
-//! The live aggregator behind the observability plane.
+//! The live aggregation behind the observability plane.
 //!
-//! One dedicated thread consumes session-close events from the worker
-//! shards (cloned [`SessionRecord`]s over an `mpsc` channel — the same
-//! lock-free handoff the accept→shard path uses), folds them into the
+//! [`AggregatorState`] folds every durably captured session into the
 //! *same* `honeylab-core` accumulators the post-hoc `analyze` pipeline
-//! runs, and periodically publishes an immutable [`ApiSnapshot`] through
-//! a [`broadcast::SnapshotCell`]. HTTP workers render endpoints from
-//! whatever snapshot is current — they never touch the accumulators, a
-//! lock, or any serving thread's state.
+//! runs, and builds the immutable [`ApiSnapshot`] the capture thread
+//! (see [`crate::capture`]) publishes through a
+//! [`crate::broadcast::SnapshotCell`]. HTTP workers render endpoints
+//! from whatever snapshot is current — they never touch the
+//! accumulators, a lock, or any serving thread's state.
 //!
 //! Because the taxonomy and credential accumulators are the identical
-//! types `core::AnalysisBuilder` composes, `/api/stats` totals over a
-//! finished run are *equal by construction* to `honeylab analyze` over
-//! the spilled store — the acceptance bar for the live plane.
+//! types `core::AnalysisBuilder` composes, and they are fed the very
+//! records the store commits, `/api/stats` totals over a finished run
+//! are *equal by construction* to `honeylab analyze` over the spilled
+//! store — the acceptance bar for the live plane.
 //!
 //! Windowed rates (1m / 5m / 1h) come from ring buffers of per-bucket
 //! counters: session closes are bucketed by wall-clock second at ingest;
-//! admissions and sheds are sampled as deltas of the [`ServeStats`]
+//! admissions and sheds are sampled as deltas of the [`crate::ServeStats`]
 //! atomics on each tick, so the accept path needs no modification (and
 //! takes no new writes) to be observable.
 
-use crate::broadcast::{EventBus, SnapshotCell, SnapshotPublisher};
-use crate::conn::now_unix;
-use crate::{ServeStats, StatsSnapshot};
+use crate::StatsSnapshot;
 use honeylab_core::logins::{TopPasswords, TopPasswordsAccumulator};
 use honeylab_core::taxonomy::{SessionClass, TaxonomyAccumulator, TaxonomyStats};
 use honeypot::{Protocol, SessionEndReason, SessionRecord};
 use hutil::{api_envelope, Json};
 use sessiondb::RecoveryReport;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How many passwords `/api/credentials/top` ranks.
 pub const TOP_CREDENTIALS: usize = 10;
 
 /// Publish cadence of the snapshot cell.
 pub const PUBLISH_TICK: Duration = Duration::from_millis(250);
-
-/// Events the serving layer feeds the aggregator. Senders are cheap
-/// clones of one `mpsc::Sender`; a dead aggregator (channel closed) is
-/// invisible to shards — sends just fail silently.
-pub enum AggEvent {
-    /// A session completed and was handed to the collector; this is a
-    /// clone of the very record the store will hold.
-    Session(Box<SessionRecord>),
-    /// Crash recovery ran while opening the spill store.
-    Recovery(RecoveryReport),
-}
 
 // --- windowed rings ------------------------------------------------------
 
@@ -182,7 +165,8 @@ pub struct WindowStats {
     pub command_execution: u64,
     /// Connections admitted inside the window (sampled counter delta).
     pub admitted: u64,
-    /// Connections shed (capacity + per-IP) inside the window.
+    /// Connections shed (capacity + per-IP + capture backlog) inside the
+    /// window.
     pub shed: u64,
     /// `sessions / seconds`.
     pub sessions_per_sec: f64,
@@ -534,8 +518,8 @@ pub fn recovery_event_json(r: &RecoveryReport) -> Json {
 
 // --- the aggregator ------------------------------------------------------
 
-/// Pure aggregation state; the thread around it is just a channel pump.
-/// Kept separate so tests can drive it with explicit clocks.
+/// Pure aggregation state, owned by the capture thread. Kept separate so
+/// tests can drive it with explicit clocks.
 pub struct AggregatorState {
     started_unix: i64,
     taxonomy: TaxonomyAccumulator,
@@ -609,8 +593,9 @@ impl AggregatorState {
     /// Samples admission/shed counter deltas into the current buckets.
     /// Called on every tick; the accept path itself is never touched.
     pub fn absorb_counter_deltas(&mut self, now: i64, counters: &StatsSnapshot) {
-        let admitted_total = counters.accepted - counters.shed_capacity - counters.shed_per_ip;
-        let shed_total = counters.shed_capacity + counters.shed_per_ip;
+        let shed_total =
+            counters.shed_capacity + counters.shed_per_ip + counters.shed_capture_backlog;
+        let admitted_total = counters.accepted - shed_total;
         let d_admitted = admitted_total.saturating_sub(self.last_admitted);
         let d_shed = shed_total.saturating_sub(self.last_shed);
         self.last_admitted = admitted_total;
@@ -647,134 +632,6 @@ impl AggregatorState {
             sse,
             recovery: self.recovery.clone(),
             shutting_down: self.shutting_down,
-        }
-    }
-}
-
-/// Handle to a running aggregator thread.
-pub struct AggregatorHandle {
-    /// Event intake; clone one per shard. Dropping every sender stops
-    /// the thread (after a final publish).
-    pub tx: Sender<AggEvent>,
-    /// The snapshot cell HTTP workers read.
-    pub cell: Arc<SnapshotCell<ApiSnapshot>>,
-    /// The SSE fan-out bus.
-    pub bus: Arc<EventBus>,
-    thread: JoinHandle<()>,
-}
-
-impl AggregatorHandle {
-    /// Waits for the aggregator thread to exit (all senders dropped).
-    pub fn join(self) -> std::thread::Result<()> {
-        drop(self.tx);
-        self.thread.join()
-    }
-}
-
-/// Spawns the aggregator thread.
-///
-/// `stats_interval` preserves the legacy periodic stderr stats line
-/// (the aggregator replaces the old dedicated stats thread); `None`
-/// disables the line but not the snapshot publishing.
-pub fn spawn_aggregator(
-    stats: Arc<ServeStats>,
-    shutdown: Arc<AtomicBool>,
-    recent_cap: usize,
-    stats_interval: Option<Duration>,
-) -> AggregatorHandle {
-    let (tx, rx) = std::sync::mpsc::channel::<AggEvent>();
-    let now = now_unix();
-    let (cell, publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::empty(now)));
-    let bus = Arc::new(EventBus::new());
-    let thread = {
-        let bus = Arc::clone(&bus);
-        std::thread::Builder::new()
-            .name("serve-aggregator".into())
-            .spawn(move || {
-                aggregator_loop(
-                    &rx,
-                    publisher,
-                    &bus,
-                    &stats,
-                    &shutdown,
-                    recent_cap,
-                    stats_interval,
-                )
-            })
-            .expect("spawn aggregator thread")
-    };
-    AggregatorHandle {
-        tx,
-        cell,
-        bus,
-        thread,
-    }
-}
-
-fn aggregator_loop(
-    rx: &Receiver<AggEvent>,
-    mut publisher: SnapshotPublisher<ApiSnapshot>,
-    bus: &EventBus,
-    stats: &ServeStats,
-    shutdown: &AtomicBool,
-    recent_cap: usize,
-    stats_interval: Option<Duration>,
-) {
-    // The wall clock is read exactly once, to anchor the epoch; every
-    // subsequent "now" is the anchor plus a monotonic delta. An NTP step
-    // (or a VM pause resuming with a jumped wall clock) can therefore
-    // never rewind the rings or inflate uptime — window rates stay
-    // correct because the deltas come from `Instant`, which the OS
-    // guarantees only moves forward.
-    let started_wall = now_unix();
-    let started_mono = Instant::now();
-    let mono_now = move || started_wall + started_mono.elapsed().as_secs() as i64;
-    let mut state = AggregatorState::new(started_wall, recent_cap);
-    let mut last_publish = Instant::now();
-    let mut last_line = Instant::now();
-    loop {
-        let disconnected = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(AggEvent::Session(rec)) => {
-                let summary = state.push_session(&rec);
-                bus.publish(crate::sse::frame(
-                    "session",
-                    &session_event_json(&summary).render(),
-                ));
-                false
-            }
-            Ok(AggEvent::Recovery(report)) => {
-                bus.publish(crate::sse::frame(
-                    "recovery",
-                    &recovery_event_json(&report).render(),
-                ));
-                state.set_recovery(report);
-                false
-            }
-            Err(RecvTimeoutError::Timeout) => false,
-            Err(RecvTimeoutError::Disconnected) => true,
-        };
-        if shutdown.load(Ordering::Relaxed) {
-            state.set_shutting_down();
-        }
-        if disconnected || last_publish.elapsed() >= PUBLISH_TICK {
-            last_publish = Instant::now();
-            let now = mono_now();
-            let counters = stats.snapshot();
-            state.absorb_counter_deltas(now, &counters);
-            let sse = SseStats {
-                subscribers: bus.subscribers() as u64,
-                dropped_frames: bus.dropped_frames(),
-            };
-            publisher.publish(Arc::new(state.snapshot(now, counters, sse)));
-        }
-        if let Some(interval) = stats_interval {
-            if last_line.elapsed() >= interval {
-                last_line = Instant::now();
-                eprintln!("[serve] {}", stats.snapshot().render());
-            }
-        }
-        if disconnected {
-            return; // final snapshot above covers every ingested session
         }
     }
 }
@@ -930,25 +787,5 @@ mod tests {
                 .and_then(Json::as_str),
             Some("ok")
         );
-    }
-
-    #[test]
-    fn aggregator_thread_publishes_and_exits() {
-        let stats = Arc::new(ServeStats::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = spawn_aggregator(Arc::clone(&stats), shutdown, 8, None);
-        let sub = handle.bus.subscribe();
-        handle
-            .tx
-            .send(AggEvent::Session(Box::new(sample_record(7, now_unix()))))
-            .unwrap();
-        // The final publish on disconnect folds the session in.
-        let cell = Arc::clone(&handle.cell);
-        handle.join().unwrap();
-        let snap = cell.load();
-        assert_eq!(snap.taxonomy.total_sessions, 1);
-        assert_eq!(snap.recent[0].session_id, 7);
-        let frame = sub.try_next().expect("session frame fanned out");
-        assert!(frame.starts_with("event: session\n"));
     }
 }

@@ -8,7 +8,7 @@
 use crate::segment::{sync_dir, SegmentMeta, SegmentReader, SegmentWriter};
 use crate::wal::{self, FsyncPolicy, WalWriter};
 use crate::{SessionDbError, DEFAULT_ROWS_PER_SEGMENT, MAGIC, MANIFEST_TAG, SEGMENT_EXT, WAL_FILE};
-use honeypot::{SessionRecord, SessionSink, SinkError};
+use honeypot::{CommitError, SessionRecord, SessionSink, SinkError};
 use hutil::DateTime;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -345,22 +345,37 @@ impl StoreWriter {
     /// With a WAL enabled, the record is logged (durably, per the fsync
     /// policy) before it enters the in-memory segment buffer.
     pub fn append(&mut self, rec: &SessionRecord) -> Result<(), SessionDbError> {
-        if self.current.is_none() {
-            let path = self.segment_path(self.next_segment);
-            self.next_segment += 1;
-            self.current = Some(SegmentWriter::create(path));
-        }
-        if let Some(wal) = &mut self.wal {
-            wal.append(rec)?;
-        }
-        let writer = self
-            .current
-            .as_mut()
-            .expect("segment writer just installed");
-        writer.push(rec);
-        self.total_rows += 1;
-        if writer.rows() as usize >= self.rows_per_segment {
-            self.seal()?;
+        self.append_batch(std::slice::from_ref(rec))
+    }
+
+    /// Appends a batch as one group commit: each run of records that
+    /// fits the current segment is logged with one WAL write and at most
+    /// one fsync, then buffered. A batch that reaches `rows_per_segment`
+    /// seals the segment (which resets the WAL) at that boundary before
+    /// the rest is logged, so the reset never truncates a frame of a row
+    /// the sealed segment does not hold.
+    pub fn append_batch(&mut self, recs: &[SessionRecord]) -> Result<(), SessionDbError> {
+        let mut rest = recs;
+        while !rest.is_empty() {
+            if self.current.is_none() {
+                let path = self.segment_path(self.next_segment);
+                self.next_segment += 1;
+                self.current = Some(SegmentWriter::create(path));
+            }
+            let writer = self.current.as_mut().expect("segment writer installed");
+            let room = self.rows_per_segment - writer.rows() as usize;
+            let (run, tail) = rest.split_at(room.min(rest.len()));
+            if let Some(wal) = &mut self.wal {
+                wal.append_batch(run)?;
+            }
+            for rec in run {
+                writer.push(rec);
+            }
+            self.total_rows += run.len() as u64;
+            if writer.rows() as usize >= self.rows_per_segment {
+                self.seal()?;
+            }
+            rest = tail;
         }
         Ok(())
     }
@@ -402,6 +417,14 @@ impl StoreWriter {
 impl SessionSink for StoreWriter {
     fn append(&mut self, rec: &SessionRecord) -> Result<(), SinkError> {
         StoreWriter::append(self, rec).map_err(|e| Box::new(e) as SinkError)
+    }
+
+    fn commit(&mut self, batch: &[SessionRecord]) -> Result<(), CommitError> {
+        let before = self.total_rows;
+        self.append_batch(batch).map_err(|e| CommitError {
+            kept: (self.total_rows - before) as usize,
+            error: Box::new(e),
+        })
     }
 
     fn finish(&mut self) -> Result<(), SinkError> {
@@ -1021,6 +1044,38 @@ mod tests {
             .map(|r| r.unwrap().session_id)
             .collect();
         assert_eq!(ids, (0..25).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn batches_straddling_seals_recover_every_row_after_a_crash() {
+        for every in [1, 3] {
+            let dir = tmpdir(&format!("batch-seal-{every}"));
+            let opts = StoreOptions {
+                rows_per_segment: 10,
+                wal: Some(FsyncPolicy::EveryN(every)),
+            };
+            let (mut w, _) = StoreWriter::with_options(&dir, opts).unwrap();
+            let recs: Vec<SessionRecord> = (0..27).map(rec).collect();
+            // 4 rows; then 13 that seal segment 0 after 6; then 10 that
+            // seal segment 1 after 3 and leave 7 in the log.
+            for run in [&recs[..4], &recs[4..17], &recs[17..]] {
+                w.append_batch(run).unwrap();
+            }
+            drop(w); // crash: no finish
+            let report = recover(&dir).unwrap();
+            assert!(!report.wal_stale, "fsync every {every}");
+            assert_eq!(report.recovered_rows, 7, "fsync every {every}");
+            assert_eq!(report.wal_bytes_lost, 0, "fsync every {every}");
+            let store = Store::open(&dir).unwrap();
+            assert_eq!(store.segments().count(), 3);
+            let ids: Vec<u64> = store
+                .scan()
+                .records()
+                .map(|r| r.expect("CRC intact").session_id)
+                .collect();
+            assert_eq!(ids, (0..27).collect::<Vec<u64>>(), "fsync every {every}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub const WAL_HEADER_LEN: usize = 20;
 pub enum FsyncPolicy {
     /// Never fsync; the OS flushes when it pleases.
     Never,
-    /// Fsync after every `n`-th appended record (`EveryN(1)` = every
-    /// record). The contained value is never 0.
+    /// Fsync at the end of an append once at least `n` records are
+    /// unsynced (`EveryN(1)` = every append, one fsync per batch). The
+    /// contained value is never 0.
     EveryN(u32),
 }
 
@@ -115,43 +116,61 @@ fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
 }
 
 /// Serializes one record as a self-contained WAL payload.
+#[cfg(test)]
 pub(crate) fn encode_record(rec: &SessionRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
-    put_u64(&mut out, rec.session_id);
-    put_u16(&mut out, rec.honeypot_id);
-    put_u32(&mut out, rec.honeypot_ip.0);
-    put_u32(&mut out, rec.client_ip.0);
-    put_u16(&mut out, rec.client_port);
+    encode_record_into(&mut out, rec);
+    out
+}
+
+/// Appends one framed record (`len · crc32 · payload`) to `out`.
+fn put_frame(out: &mut Vec<u8>, rec: &SessionRecord) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_record_into(out, rec);
+    let payload = &out[at + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Appends the self-contained WAL payload of `rec` to `out`.
+fn encode_record_into(out: &mut Vec<u8>, rec: &SessionRecord) {
+    put_u64(out, rec.session_id);
+    put_u16(out, rec.honeypot_id);
+    put_u32(out, rec.honeypot_ip.0);
+    put_u32(out, rec.client_ip.0);
+    put_u16(out, rec.client_port);
     out.push(match rec.protocol {
         Protocol::Ssh => 0,
         Protocol::Telnet => 1,
     });
-    put_i64(&mut out, rec.start.unix());
-    put_i64(&mut out, rec.end.unix());
+    put_i64(out, rec.start.unix());
+    put_i64(out, rec.end.unix());
     out.push(match rec.end_reason {
         SessionEndReason::ClientClose => 0,
         SessionEndReason::Timeout => 1,
     });
-    put_opt_str(&mut out, rec.client_version.as_deref());
+    put_opt_str(out, rec.client_version.as_deref());
 
-    put_u32(&mut out, rec.logins.len() as u32);
+    put_u32(out, rec.logins.len() as u32);
     for l in &rec.logins {
-        put_str(&mut out, &l.username);
-        put_str(&mut out, &l.password);
+        put_str(out, &l.username);
+        put_str(out, &l.password);
         out.push(u8::from(l.success));
     }
-    put_u32(&mut out, rec.commands.len() as u32);
+    put_u32(out, rec.commands.len() as u32);
     for c in &rec.commands {
-        put_str(&mut out, &c.input);
+        put_str(out, &c.input);
         out.push(u8::from(c.known));
     }
-    put_u32(&mut out, rec.uris.len() as u32);
+    put_u32(out, rec.uris.len() as u32);
     for u in &rec.uris {
-        put_str(&mut out, u);
+        put_str(out, u);
     }
-    put_u32(&mut out, rec.file_events.len() as u32);
+    put_u32(out, rec.file_events.len() as u32);
     for e in &rec.file_events {
-        put_str(&mut out, &e.path);
+        put_str(out, &e.path);
         let (tag, hash) = match &e.op {
             FileOp::Created { sha256 } => (OP_CREATED, Some(sha256.as_str())),
             FileOp::Modified { sha256 } => (OP_MODIFIED, Some(sha256.as_str())),
@@ -162,11 +181,10 @@ pub(crate) fn encode_record(rec: &SessionRecord) -> Vec<u8> {
         };
         out.push(tag);
         if let Some(h) = hash {
-            put_str(&mut out, h);
+            put_str(out, h);
         }
-        put_opt_str(&mut out, e.source_uri.as_deref());
+        put_opt_str(out, e.source_uri.as_deref());
     }
-    out
 }
 
 fn take_str(c: &mut Cursor<'_>) -> Result<String, String> {
@@ -285,6 +303,8 @@ pub struct WalWriter {
     file: std::fs::File,
     policy: FsyncPolicy,
     unsynced: u32,
+    /// Reused frame buffer: a batch goes out in one `write`.
+    frames: Vec<u8>,
 }
 
 impl WalWriter {
@@ -309,21 +329,32 @@ impl WalWriter {
             file,
             policy,
             unsynced: 0,
+            frames: Vec::new(),
         })
     }
 
     /// Appends one record frame, fsyncing per the configured policy.
     pub fn append(&mut self, rec: &SessionRecord) -> Result<(), SessionDbError> {
-        let payload = encode_record(rec);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        self.append_batch(std::slice::from_ref(rec))
+    }
+
+    /// Appends one frame per record with a single `write`, then fsyncs
+    /// at most once: when the records not yet synced reach the policy's
+    /// count. This is the log half of a group commit — with
+    /// `EveryN(1)` a whole batch costs one `fdatasync`.
+    pub fn append_batch(&mut self, recs: &[SessionRecord]) -> Result<(), SessionDbError> {
+        if recs.is_empty() {
+            return Ok(());
+        }
+        self.frames.clear();
+        for rec in recs {
+            put_frame(&mut self.frames, rec);
+        }
         self.file
-            .write_all(&frame)
+            .write_all(&self.frames)
             .map_err(|e| SessionDbError::io(&self.path, e))?;
         if let FsyncPolicy::EveryN(n) = self.policy {
-            self.unsynced += 1;
+            self.unsynced = self.unsynced.saturating_add(recs.len() as u32);
             if self.unsynced >= n {
                 self.sync()?;
             }
@@ -541,6 +572,25 @@ mod tests {
         for (i, r) in replay.rows.iter().enumerate() {
             assert_eq!(*r, rec(i as u64));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_append_writes_the_same_frames_and_syncs_once_per_batch() {
+        let dir = tmpdir("batch");
+        let single = write_wal(&dir, 7, FsyncPolicy::Never);
+        let one_by_one = std::fs::read(&single).unwrap();
+        let path = dir.join("batched.hswal");
+        let mut w = WalWriter::create(&path, FsyncPolicy::EveryN(3), 3).unwrap();
+        let recs: Vec<SessionRecord> = (0..7).map(rec).collect();
+        w.append_batch(&recs[..2]).unwrap();
+        assert_eq!(w.unsynced, 2, "below the policy's count: no sync");
+        w.append_batch(&recs[2..6]).unwrap();
+        assert_eq!(w.unsynced, 0, "one sync covers the whole batch");
+        w.append_batch(&recs[6..]).unwrap();
+        w.append_batch(&[]).unwrap();
+        assert_eq!(w.unsynced, 1);
+        assert_eq!(std::fs::read(&path).unwrap(), one_by_one);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

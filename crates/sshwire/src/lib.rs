@@ -28,7 +28,7 @@ pub mod wire;
 
 pub use client::{ClientEvent, ClientScript, SshClient};
 pub use msg::Message;
-pub use server::{AuthOutcome, ServerHandler, SshServer};
+pub use server::{AuthOutcome, ServerHandler, SshServer, MAX_ID_LINE};
 pub use transport::{run_dialogue, DialogueLog};
 
 /// Builds a `BytesMut` from a byte slice — a convenience for downstream

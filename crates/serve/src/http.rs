@@ -1,9 +1,10 @@
 //! The HTTP/1.1 observability front-end (`--http-port`).
 //!
-//! Same architecture as the SSH/Telnet front: one non-blocking accept
-//! thread deals admitted sockets round-robin to a small pool of worker
-//! shards; each shard owns its connections outright and polls them with
-//! non-blocking reads/writes. No HTTP library — the parser below speaks
+//! One non-blocking accept thread deals admitted sockets round-robin to
+//! a small pool of worker shards; each shard owns its connections
+//! outright and polls them with non-blocking reads/writes. (The
+//! SSH/Telnet shards accept for themselves instead; this plane has not
+//! moved onto them yet.) No HTTP library — the parser below speaks
 //! exactly the subset this plane serves (`GET`, header block, optional
 //! keep-alive/pipelining) and rejects everything else with a bounded
 //! buffer, which is the only defensible posture for a socket that sits

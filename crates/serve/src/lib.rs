@@ -9,22 +9,25 @@
 //! # Architecture
 //!
 //! ```text
-//!   accept thread (ssh)  ──┐                 ┌── shard 0 ── poll loop over its conns
-//!   accept thread (telnet)─┼─ admission ─────┼── shard 1 ── …
-//!                          │  (global cap,   └── shard N-1
-//!                          │   per-IP limit,        │ finished records, moved
-//!                          │   capture slot)        ▼
-//!                          │                  bounded capture queue
-//!                          │                        │
-//!                          │   capture thread: group commit (honeypot::Collector
-//!                          │   ── sessiondb store), then live stats and SSE
+//!   listeners (ssh, telnet) ── watched by every shard's poller
+//!        │
+//!        ├── shard 0 ── accept + admission ── epoll loop over its conns
+//!        ├── shard 1 ── …   (global cap, per-IP limit, capture slot)
+//!        └── shard N-1
+//!                 │ finished records, moved
+//!                 ▼
+//!          bounded capture queue
+//!                 │
+//!          capture thread: group commit (honeypot::Collector
+//!          ── sessiondb store), then live stats and SSE
 //! ```
 //!
-//! * **Sharded accept loop** — one non-blocking accept thread per
-//!   listener; admitted connections are dealt round-robin to a fixed pool
-//!   of worker *shards*. Each shard owns its connections outright (no
-//!   cross-thread locking on the hot path) and polls them with
-//!   non-blocking reads/writes, so one slow client never stalls the rest.
+//! * **Accepting shards** — a fixed pool of worker *shards*, each an
+//!   epoll reactor that watches the listeners itself, accepts, admits,
+//!   and keeps the connection. Each shard owns its connections outright
+//!   (no cross-thread locking on the hot path) and pumps them with
+//!   non-blocking reads/writes when they are ready, so one slow client
+//!   never stalls the rest.
 //! * **Admission control** — a connection is shed *at accept time* when
 //!   the global concurrent-connection cap or the per-IP limit is reached,
 //!   or when the capture queue has no room for its future record:
@@ -42,8 +45,8 @@
 //!   (retry/backoff/quarantine) into a live [`sessiondb`] store, so a
 //!   server that has been up for a year has a store on disk that
 //!   `honeylab analyze` reads directly.
-//! * **Graceful shutdown** — trigger → accept loops stop and listeners
-//!   close → shards drain in-flight sessions (bounded by a drain timeout)
+//! * **Graceful shutdown** — trigger → shards stop accepting and the
+//!   listeners close → shards drain in-flight sessions (bounded by a drain timeout)
 //!   → the capture thread commits what is queued and retries flush → the
 //!   final partial segment is sealed.
 
@@ -74,6 +77,13 @@ use std::time::Duration;
 pub enum ServeError {
     /// Neither an SSH nor a Telnet port was configured.
     NoListeners,
+    /// A shard's readiness poller could not be created or could not
+    /// watch the listeners (no readiness API on this platform, or fd
+    /// exhaustion).
+    Poller {
+        /// The OS error.
+        source: std::io::Error,
+    },
     /// Binding a listener failed.
     Bind {
         /// Address we tried to bind.
@@ -91,7 +101,7 @@ pub enum ServeError {
         /// Collector error message.
         message: String,
     },
-    /// A server thread (accept loop, supervisor, stats) panicked; the
+    /// A server thread (supervisor, capture, HTTP) panicked; the
     /// run's data was still sealed, but the process was unhealthy.
     ThreadPanicked {
         /// Thread that died.
@@ -105,6 +115,7 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::NoListeners => write!(f, "no ports configured: nothing to serve"),
+            ServeError::Poller { source } => write!(f, "cannot start a shard poller: {source}"),
             ServeError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
             ServeError::Store { message } => write!(f, "session store failed: {message}"),
             ServeError::Collector { message } => write!(f, "collector failed: {message}"),
@@ -141,40 +152,6 @@ impl ChaosConfig {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Which serving engine drives the worker shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Readiness-driven reactor shards: epoll (Linux) or poll(2)
-    /// (other unixes), eventfd-style wakeups, timer-wheel deadlines.
-    /// The default wherever a readiness API exists.
-    #[default]
-    Reactor,
-    /// The legacy nap-based polling shards, kept as the measurable
-    /// baseline (`honeylab serve --engine polled`) and as the fallback
-    /// on platforms without a readiness API. Its naps are adaptive
-    /// (spin → yield → park) rather than fixed.
-    Polled,
-}
-
-impl Engine {
-    /// Parses a CLI value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "reactor" => Some(Engine::Reactor),
-            "polled" => Some(Engine::Polled),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Polled => "polled",
-        }
-    }
-}
 
 /// Tuning knobs for a live server. The defaults are sized for the
 /// loopback smoke tests; a production deployment raises the cap and the
@@ -228,9 +205,6 @@ pub struct ServeConfig {
     pub http_workers: usize,
     /// How many completed sessions `/api/sessions/recent` retains.
     pub recent_tail: usize,
-    /// Which serving engine drives the shards (reactor by default;
-    /// polled is the measurable baseline / non-unix fallback).
-    pub engine: Engine,
 }
 
 impl Default for ServeConfig {
@@ -258,7 +232,6 @@ impl Default for ServeConfig {
             http_port: None,
             http_workers: 2,
             recent_tail: 64,
-            engine: Engine::default(),
         }
     }
 }
@@ -480,12 +453,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Serving engine (reactor or polled baseline).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
     /// Validates and returns the config.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         self.cfg.validate()?;
@@ -634,7 +601,7 @@ pub enum Admission {
     OverPerIpLimit,
 }
 
-/// Concurrent-connection accounting shared by accept threads and shards.
+/// Concurrent-connection accounting shared by every shard.
 #[derive(Debug)]
 pub struct Gate {
     max_connections: usize,

@@ -1,17 +1,11 @@
 //! Readiness-driven reactor primitives: a dependency-free poller
-//! (epoll on Linux, poll(2) on other unixes), an eventfd-style waker, a
-//! lock-free bounded intake queue, a coarse timer wheel, and an
-//! adaptive backoff for the paths that still have to wait.
+//! (epoll on Linux, poll(2) on other unixes) and a coarse timer wheel.
 //!
 //! Like [`crate::signal`], the OS surface is a tiny hand-declared FFI
 //! shim — no libc crate, no mio. Everything here is allocation-light on
-//! the hot path: `epoll_wait` returns only ready fds, the intake queue
-//! is a Vyukov bounded MPMC ring (two accept threads may feed one
-//! shard), and timers amortize to O(1) per tick via hashed wheel slots.
+//! the hot path: `epoll_wait` returns only ready fds, and timers
+//! amortize to O(1) per tick via hashed wheel slots.
 
-use std::collections::HashMap;
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a registration wants to hear about.
@@ -67,6 +61,7 @@ mod sys {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
     /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel
     /// ABI really is unaligned there), naturally aligned elsewhere.
@@ -116,9 +111,9 @@ mod sys {
             })
         }
 
-        fn ctl(&self, op: i32, fd: i32, interest: Interest, token: u64) -> io::Result<()> {
+        fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: mask(interest),
+                events,
                 data: token,
             };
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
@@ -128,11 +123,18 @@ mod sys {
         }
 
         pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, interest, token)
+            self.ctl(EPOLL_CTL_ADD, fd, mask(interest), token)
+        }
+
+        /// Registers a listening socket that several pollers watch, for
+        /// read interest only. `EPOLLEXCLUSIVE` makes a connect wake one
+        /// waiting poller rather than every one of them.
+        pub fn register_shared(&mut self, fd: i32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN | EPOLLEXCLUSIVE, token)
         }
 
         pub fn reregister(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest, token)
+            self.ctl(EPOLL_CTL_MOD, fd, mask(interest), token)
         }
 
         pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
@@ -253,6 +255,12 @@ mod sys {
             Ok(())
         }
 
+        /// poll(2) has no exclusive wakeup: every poller watching the
+        /// listener wakes, and the losers' accepts return `WouldBlock`.
+        pub fn register_shared(&mut self, fd: i32, token: u64) -> io::Result<()> {
+            self.register(fd, token, Interest::READ)
+        }
+
         pub fn reregister(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
             let &i = self
                 .index
@@ -304,9 +312,9 @@ mod sys {
 }
 
 // ---------------------------------------------------------------------------
-// Non-unix: no readiness API without a dependency. The server falls
-// back to the polled engine there; constructing a Poller reports
-// Unsupported so callers can make that choice at runtime.
+// Non-unix: no readiness API without a dependency. Constructing a
+// Poller reports Unsupported, so the server refuses to start and
+// barrage reports the platform as unsupported.
 // ---------------------------------------------------------------------------
 
 #[cfg(not(unix))]
@@ -325,6 +333,10 @@ mod sys {
         }
 
         pub fn register(&mut self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
+            unreachable!("Poller::new never succeeds off unix")
+        }
+
+        pub fn register_shared(&mut self, _fd: i32, _token: u64) -> io::Result<()> {
             unreachable!("Poller::new never succeeds off unix")
         }
 
@@ -349,340 +361,16 @@ pub fn poller_supported() -> bool {
     cfg!(unix)
 }
 
-// ---------------------------------------------------------------------------
-// Waker: cross-thread wakeup for a poller blocked in wait().
-// ---------------------------------------------------------------------------
-
-/// Wakes a poller blocked in [`Poller::wait`] from another thread. On
-/// Linux this is an eventfd (one fd, one syscall per wake); on other
-/// unixes a socketpair. The read side registers under
-/// [`Waker::TOKEN`]; [`Waker::drain`] must run when that token fires,
-/// or a level-triggered poller spins.
-pub struct Waker {
-    inner: waker_impl::WakerImpl,
-    /// Collapses redundant wakes: producers only write the fd when the
-    /// flag was clear, so a storm of pushes costs one syscall.
-    armed: AtomicBool,
+/// The fd a socket registers under.
+#[cfg(unix)]
+pub(crate) fn raw_fd(socket: &impl std::os::unix::io::AsRawFd) -> i32 {
+    socket.as_raw_fd()
 }
 
-/// Token the waker's read side registers under — disjoint from slab
-/// indices, which count up from 0.
-impl Waker {
-    /// Reserved token for the waker fd.
-    pub const TOKEN: u64 = u64::MAX;
-
-    /// Creates a waker pair (read side + write side in one object).
-    pub fn new() -> io::Result<Waker> {
-        Ok(Waker {
-            inner: waker_impl::WakerImpl::new()?,
-            armed: AtomicBool::new(false),
-        })
-    }
-
-    /// The fd to register for read interest.
-    pub fn fd(&self) -> i32 {
-        self.inner.fd()
-    }
-
-    /// Signals the poller. Cheap when a wake is already pending.
-    pub fn wake(&self) {
-        if self
-            .armed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.inner.wake();
-        }
-    }
-
-    /// Consumes the pending wake; call when [`Waker::TOKEN`] fires.
-    pub fn drain(&self) {
-        self.inner.drain();
-        self.armed.store(false, Ordering::Release);
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod waker_impl {
-    use std::io;
-
-    const EFD_CLOEXEC: i32 = 0o200_0000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-
-    extern "C" {
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub struct WakerImpl {
-        fd: i32,
-    }
-
-    impl WakerImpl {
-        pub fn new() -> io::Result<WakerImpl> {
-            let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(WakerImpl { fd })
-        }
-
-        pub fn fd(&self) -> i32 {
-            self.fd
-        }
-
-        pub fn wake(&self) {
-            let one: u64 = 1;
-            unsafe {
-                write(self.fd, (&one as *const u64).cast(), 8);
-            }
-        }
-
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            unsafe {
-                read(self.fd, buf.as_mut_ptr(), 8);
-            }
-        }
-    }
-
-    impl Drop for WakerImpl {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.fd);
-            }
-        }
-    }
-
-    unsafe impl Send for WakerImpl {}
-    unsafe impl Sync for WakerImpl {}
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod waker_impl {
-    use std::io::{self, Read, Write};
-    use std::os::unix::io::AsRawFd;
-    use std::os::unix::net::UnixStream;
-    use std::sync::Mutex;
-
-    pub struct WakerImpl {
-        // Mutex only guards the rare wake/drain syscalls; the armed
-        // flag upstream already collapses contention.
-        reader: Mutex<UnixStream>,
-        writer: Mutex<UnixStream>,
-        read_fd: i32,
-    }
-
-    impl WakerImpl {
-        pub fn new() -> io::Result<WakerImpl> {
-            let (reader, writer) = UnixStream::pair()?;
-            reader.set_nonblocking(true)?;
-            writer.set_nonblocking(true)?;
-            let read_fd = reader.as_raw_fd();
-            Ok(WakerImpl {
-                reader: Mutex::new(reader),
-                writer: Mutex::new(writer),
-                read_fd,
-            })
-        }
-
-        pub fn fd(&self) -> i32 {
-            self.read_fd
-        }
-
-        pub fn wake(&self) {
-            if let Ok(mut w) = self.writer.lock() {
-                let _ = w.write(&[1u8]);
-            }
-        }
-
-        pub fn drain(&self) {
-            if let Ok(mut r) = self.reader.lock() {
-                let mut buf = [0u8; 64];
-                while matches!(r.read(&mut buf), Ok(n) if n > 0) {}
-            }
-        }
-    }
-}
-
+/// Off unix no [`Poller`] can be built, so no fd is ever registered.
 #[cfg(not(unix))]
-mod waker_impl {
-    use std::io;
-
-    pub struct WakerImpl;
-
-    impl WakerImpl {
-        pub fn new() -> io::Result<WakerImpl> {
-            Ok(WakerImpl)
-        }
-
-        pub fn fd(&self) -> i32 {
-            -1
-        }
-
-        pub fn wake(&self) {}
-
-        pub fn drain(&self) {}
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardQueue: bounded lock-free MPMC ring (Vyukov), used as the
-// accept→shard handoff. MPMC rather than strict SPSC because the ssh
-// and telnet accept threads both produce into one shard, and the
-// supervisor's respawned shard thread replaces the dead consumer.
-// ---------------------------------------------------------------------------
-
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: std::cell::UnsafeCell<std::mem::MaybeUninit<T>>,
-}
-
-/// Bounded lock-free queue with a close/hangup protocol: producers
-/// register via [`ShardQueue::add_producer`]; when the last one calls
-/// [`ShardQueue::remove_producer`], the queue reports
-/// [`PopResult::Closed`] once drained — the shard's signal to exit.
-pub struct ShardQueue<T> {
-    mask: usize,
-    slots: Box<[Slot<T>]>,
-    head: CachePadded<AtomicUsize>,
-    tail: CachePadded<AtomicUsize>,
-    producers: AtomicUsize,
-}
-
-unsafe impl<T: Send> Send for ShardQueue<T> {}
-unsafe impl<T: Send> Sync for ShardQueue<T> {}
-
-/// Outcome of [`ShardQueue::pop`].
-pub enum PopResult<T> {
-    /// An item.
-    Item(T),
-    /// Nothing right now, but producers remain.
-    Empty,
-    /// Drained and every producer has hung up.
-    Closed,
-}
-
-impl<T> ShardQueue<T> {
-    /// Capacity is rounded up to the next power of two, minimum 2.
-    pub fn with_capacity(capacity: usize) -> ShardQueue<T> {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: std::cell::UnsafeCell::new(std::mem::MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        ShardQueue {
-            mask: cap - 1,
-            slots,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            producers: AtomicUsize::new(0),
-        }
-    }
-
-    /// Registers a producer; pair with [`ShardQueue::remove_producer`].
-    pub fn add_producer(&self) {
-        self.producers.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Deregisters a producer. When the count reaches zero the queue is
-    /// closed: consumers see [`PopResult::Closed`] after draining.
-    pub fn remove_producer(&self) {
-        self.producers.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Whether every producer has hung up.
-    pub fn is_closed(&self) -> bool {
-        self.producers.load(Ordering::Acquire) == 0
-    }
-
-    /// Attempts to enqueue; returns the value back when full.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut tail = self.tail.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - tail as isize;
-            if dif == 0 {
-                match self.tail.0.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        unsafe {
-                            (*slot.value.get()).write(value);
-                        }
-                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if dif < 0 {
-                return Err(value); // full
-            } else {
-                tail = self.tail.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Attempts to dequeue.
-    pub fn pop(&self) -> PopResult<T> {
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - (head.wrapping_add(1)) as isize;
-            if dif == 0 {
-                match self.head.0.compare_exchange_weak(
-                    head,
-                    head.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq
-                            .store(head.wrapping_add(self.mask + 1), Ordering::Release);
-                        return PopResult::Item(value);
-                    }
-                    Err(h) => head = h,
-                }
-            } else if dif < 0 {
-                // Empty. Re-check the producer count *after* observing
-                // emptiness so a final push before hangup is never lost.
-                if self.is_closed() {
-                    let tail = self.tail.0.load(Ordering::Acquire);
-                    if tail == head {
-                        return PopResult::Closed;
-                    }
-                    head = self.head.0.load(Ordering::Relaxed);
-                    continue;
-                }
-                return PopResult::Empty;
-            } else {
-                head = self.head.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> Drop for ShardQueue<T> {
-    fn drop(&mut self) {
-        // Release queued values (e.g. Admitted carrying gate permits).
-        while let PopResult::Item(v) = self.pop() {
-            drop(v);
-        }
-    }
+pub(crate) fn raw_fd<T>(_socket: &T) -> i32 {
+    -1
 }
 
 // ---------------------------------------------------------------------------
@@ -774,50 +462,6 @@ impl TimerWheel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Backoff: the satellite fix for the fixed 500µs/200µs/2ms naps. The
-// fallback paths that still have to wait escalate spin → yield → park
-// instead of sleeping a constant.
-// ---------------------------------------------------------------------------
-
-/// Adaptive wait for loops with nothing to do: a few spin hints, then
-/// scheduler yields, then exponentially growing parks up to `cap`.
-/// Reset on any progress.
-pub struct Backoff {
-    step: u32,
-    cap: Duration,
-}
-
-impl Backoff {
-    /// A backoff whose longest park is `cap`.
-    pub fn new(cap: Duration) -> Backoff {
-        Backoff { step: 0, cap }
-    }
-
-    /// Signal progress: the next wait starts from a spin again.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Wait a little, escalating each consecutive call.
-    pub fn wait(&mut self) {
-        match self.step {
-            0..=2 => {
-                for _ in 0..(1 << self.step) {
-                    std::hint::spin_loop();
-                }
-            }
-            3..=5 => std::thread::yield_now(),
-            s => {
-                let exp = (s - 6).min(10);
-                let park = Duration::from_micros(20u64 << exp).min(self.cap);
-                std::thread::sleep(park);
-            }
-        }
-        self.step = self.step.saturating_add(1);
-    }
-}
-
 /// Interest for a connection: always readable, writable only while
 /// output is queued (level-triggered, so writable interest on an idle
 /// socket would busy-spin the poller).
@@ -829,138 +473,9 @@ pub fn conn_interest(wants_write: bool) -> Interest {
     }
 }
 
-/// Book-keeping map from fd → last armed interest, so reregistration
-/// only hits the kernel when the interest actually changed.
-#[derive(Default)]
-pub struct InterestCache {
-    armed: HashMap<i32, Interest>,
-}
-
-impl InterestCache {
-    /// Records a fresh registration.
-    pub fn insert(&mut self, fd: i32, interest: Interest) {
-        self.armed.insert(fd, interest);
-    }
-
-    /// Removes a registration.
-    pub fn remove(&mut self, fd: i32) {
-        self.armed.remove(&fd);
-    }
-
-    /// Returns `true` (and updates the cache) when `interest` differs
-    /// from what is currently armed for `fd`.
-    pub fn changed(&mut self, fd: i32, interest: Interest) -> bool {
-        match self.armed.get_mut(&fd) {
-            Some(cur) if *cur == interest => false,
-            Some(cur) => {
-                *cur = interest;
-                true
-            }
-            None => {
-                self.armed.insert(fd, interest);
-                true
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn queue_roundtrips_in_order_single_thread() {
-        let q: ShardQueue<u32> = ShardQueue::with_capacity(8);
-        q.add_producer();
-        for i in 0..8 {
-            q.push(i).unwrap();
-        }
-        assert!(q.push(99).is_err(), "ring of 8 must reject a 9th item");
-        for i in 0..8 {
-            match q.pop() {
-                PopResult::Item(v) => assert_eq!(v, i),
-                _ => panic!("expected item {i}"),
-            }
-        }
-        assert!(matches!(q.pop(), PopResult::Empty));
-        q.remove_producer();
-        assert!(matches!(q.pop(), PopResult::Closed));
-    }
-
-    #[test]
-    fn queue_closed_only_after_drain() {
-        let q: ShardQueue<u32> = ShardQueue::with_capacity(4);
-        q.add_producer();
-        q.push(7).unwrap();
-        q.remove_producer();
-        assert!(matches!(q.pop(), PopResult::Item(7)));
-        assert!(matches!(q.pop(), PopResult::Closed));
-    }
-
-    #[test]
-    fn queue_survives_two_producers_one_consumer() {
-        let q: Arc<ShardQueue<u64>> = Arc::new(ShardQueue::with_capacity(64));
-        let producers = 2;
-        let per_producer = 10_000u64;
-        for _ in 0..producers {
-            q.add_producer();
-        }
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    let v = (p as u64) * per_producer + i;
-                    let mut item = v;
-                    loop {
-                        match q.push(item) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                item = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-                q.remove_producer();
-            }));
-        }
-        let mut seen = vec![false; (producers as u64 * per_producer) as usize];
-        let mut count = 0usize;
-        loop {
-            match q.pop() {
-                PopResult::Item(v) => {
-                    assert!(!seen[v as usize], "duplicate item {v}");
-                    seen[v as usize] = true;
-                    count += 1;
-                }
-                PopResult::Empty => std::thread::yield_now(),
-                PopResult::Closed => break,
-            }
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(count, seen.len(), "every pushed item must pop exactly once");
-    }
-
-    #[test]
-    fn queue_drop_releases_queued_items() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let q: ShardQueue<Counted> = ShardQueue::with_capacity(4);
-            q.push(Counted(Arc::clone(&drops))).ok();
-            q.push(Counted(Arc::clone(&drops))).ok();
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 2);
-    }
 
     #[test]
     fn timer_wheel_fires_at_deadline_not_before() {
@@ -976,57 +491,6 @@ mod tests {
         expired.clear();
         wheel.advance(t0 + Duration::from_millis(520), &mut expired);
         assert_eq!(expired, vec![(2, 0)], "wrapped entry fires after re-hash");
-    }
-
-    #[test]
-    fn backoff_escalates_and_resets() {
-        let mut b = Backoff::new(Duration::from_millis(1));
-        for _ in 0..20 {
-            b.wait(); // must terminate promptly even at max escalation
-        }
-        assert!(b.step > 6);
-        b.reset();
-        assert_eq!(b.step, 0);
-    }
-
-    #[test]
-    fn interest_cache_dedupes_rearms() {
-        let mut cache = InterestCache::default();
-        assert!(cache.changed(5, Interest::READ));
-        assert!(!cache.changed(5, Interest::READ));
-        assert!(cache.changed(5, Interest::READ_WRITE));
-        assert!(!cache.changed(5, Interest::READ_WRITE));
-        cache.remove(5);
-        assert!(cache.changed(5, Interest::READ));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn waker_wakes_a_blocked_poller() {
-        let waker = Arc::new(Waker::new().unwrap());
-        let mut poller = Poller::new().unwrap();
-        poller
-            .register(waker.fd(), Waker::TOKEN, Interest::READ)
-            .unwrap();
-        let w = Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            w.wake();
-            w.wake(); // collapsed: armed flag already set
-        });
-        let t0 = Instant::now();
-        let mut events = Vec::new();
-        poller.wait(Duration::from_secs(5), &mut events).unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "poller must wake well before its timeout"
-        );
-        assert!(events.iter().any(|e| e.token == Waker::TOKEN && e.readable));
-        waker.drain();
-        // After drain the poller must be quiet again.
-        poller.wait(Duration::from_millis(20), &mut events).unwrap();
-        assert!(events.is_empty(), "drained waker must not re-fire");
-        t.join().unwrap();
     }
 
     #[cfg(unix)]
@@ -1063,5 +527,35 @@ mod tests {
         poller.deregister(fd).unwrap();
         poller.wait(Duration::from_millis(20), &mut events).unwrap();
         assert!(events.is_empty(), "deregistered fd must not report");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn shared_listener_reports_to_each_poller_until_accepted() {
+        use std::os::unix::io::AsRawFd;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let fd = listener.as_raw_fd();
+        let mut a = Poller::new().unwrap();
+        let mut b = Poller::new().unwrap();
+        a.register_shared(fd, u64::MAX).unwrap();
+        b.register_shared(fd, u64::MAX).unwrap();
+        let mut events = Vec::new();
+        a.wait(Duration::from_millis(20), &mut events).unwrap();
+        assert!(events.is_empty(), "no connect yet");
+
+        let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Level-triggered: a poller that looks while the connect is
+        // pending sees it, whichever poller the kernel woke.
+        a.wait(Duration::from_secs(5), &mut events).unwrap();
+        assert!(events.iter().any(|e| e.token == u64::MAX && e.readable));
+        b.wait(Duration::from_secs(5), &mut events).unwrap();
+        assert!(events.iter().any(|e| e.token == u64::MAX && e.readable));
+
+        listener.accept().expect("pending connect");
+        for p in [&mut a, &mut b] {
+            p.wait(Duration::from_millis(20), &mut events).unwrap();
+            assert!(events.is_empty(), "an accepted connect must not re-fire");
+        }
     }
 }

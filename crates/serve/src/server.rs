@@ -1,22 +1,18 @@
-//! Server orchestration: listeners, sharded accept loops, supervised
-//! worker pool, the capture thread (store and observability
-//! aggregator), the HTTP plane, and graceful drain.
+//! Server orchestration: listeners, the supervised reactor shards, the
+//! capture thread (store and observability aggregator), the HTTP plane,
+//! and graceful drain.
 //!
-//! # Engines
+//! # Shards
 //!
-//! Two shard engines share all of this orchestration (admission,
-//! chaos, supervision, drain, capture):
-//!
-//! * [`Engine::Reactor`] (default) — readiness-driven: each shard owns
-//!   a [`crate::reactor::Poller`] (epoll on Linux) plus a timer wheel;
-//!   connections are pumped only when their socket is ready or their
-//!   deadline fires. New sockets arrive through a lock-free
-//!   [`crate::reactor::ShardQueue`] and an eventfd-style waker, so the
-//!   accept→shard handoff takes no locks.
-//! * [`Engine::Polled`] — the original scan-everything loop, kept as
-//!   the measurable baseline and the fallback where no readiness API
-//!   exists. Its historical fixed naps are now adaptive
-//!   (spin → yield → park).
+//! Each worker shard is one thread around a [`crate::reactor::Poller`]
+//! (epoll on Linux) and a timer wheel. Every shard watches the SSH and
+//! Telnet listeners in its own poller (`EPOLLEXCLUSIVE` on Linux, so a
+//! connect wakes one waiting shard, not all of them), accepts until the
+//! backlog is empty, and admits each socket itself: gate, capture slot,
+//! shed counters and chaos. A connection lives on the shard that
+//! accepted it, so no queue and no cross-thread wakeup sits between
+//! `accept` and the first pump. Connections are pumped only when their
+//! socket is ready or their deadline fires.
 //!
 //! # Crash containment
 //!
@@ -25,12 +21,19 @@
 //! session, its gate slot is released by the permit's `Drop`, and
 //! `panics_caught` is bumped — the shard keeps serving its other
 //! connections. If a shard thread dies anyway (a panic outside the
-//! per-connection guard), the supervisor respawns it and re-homes its
-//! intake queue, so the server keeps accepting at full width; the
-//! panic message is reported through [`ServeReport::shard_panics`].
-//! Accept/supervisor/capture threads have no respawn layer — a panic
-//! there surfaces as [`ServeError::ThreadPanicked`] from
-//! [`ServerHandle::join`].
+//! per-connection guard), the connections it owned close, and the
+//! supervisor respawns it with the listeners it held, so the server
+//! keeps accepting at full width; the panic message is reported through
+//! [`ServeReport::shard_panics`]. Supervisor/capture threads have no
+//! respawn layer — a panic there surfaces as
+//! [`ServeError::ThreadPanicked`] from [`ServerHandle::join`].
+//!
+//! # Drain
+//!
+//! On shutdown every shard stops watching the listeners and drops its
+//! handle to them. The sockets close once the last shard has let go, so
+//! new connects are refused while in-flight sessions drain (for at most
+//! the drain timeout).
 //!
 //! # Capture
 //!
@@ -44,21 +47,17 @@ use crate::capture::{
     capacity_for, spawn_capture, CaptureConfig, CaptureHandle, CaptureQueue, CaptureSlot,
 };
 use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
-use crate::reactor::{
-    conn_interest, Backoff, Event, Interest, Poller, PopResult, ShardQueue, TimerWheel, Waker,
-};
+use crate::reactor::{conn_interest, raw_fd, Event, Interest, Poller, TimerWheel};
 use crate::stats::ApiSnapshot;
-use crate::{
-    Admission, ChaosConfig, Engine, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot,
-};
-use honeypot::shell::NullStore;
+use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
+use honeypot::shell::{NullStore, RemoteStore};
 use honeypot::{panic_message, AuthPolicy, Collector, CollectorError, IngestStats};
 use netsim::faults::FailureInjector;
 use sessiondb::{RecoveryReport, StoreOptions, StoreWriter};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,17 +68,21 @@ enum Proto {
     Telnet,
 }
 
-/// An admitted connection in flight from an accept thread to its shard.
-/// Carries its gate permit and capture slot, so a connection dropped
-/// anywhere along the way (queue teardown, shard death) releases both.
-struct Admitted {
-    stream: TcpStream,
-    permit: crate::GatePermit,
-    capture: CaptureSlot,
-    client_port: u16,
+/// A bound, non-blocking listener and the protocol it serves.
+struct Listener {
+    socket: TcpListener,
     proto: Proto,
-    start_unix: i64,
-    seq: u64,
+}
+
+/// The listeners every shard accepts from. The sockets close when the
+/// last handle drops.
+type Listeners = Arc<[Listener]>;
+
+/// Listener `i` registers under token `u64::MAX - i`; connection slots
+/// count up from 0. A server has at most two listeners (SSH, Telnet).
+fn listener_index(token: u64) -> Option<usize> {
+    let i = u64::MAX - token;
+    (i < 2).then_some(i as usize)
 }
 
 /// Maps a peer address into the record schema's IPv4 space. Real v4
@@ -104,22 +107,15 @@ pub fn fold_peer_ip(ip: IpAddr) -> netsim::Ipv4Addr {
     }
 }
 
-/// Intake side of a shard: a lock-free bounded queue plus the waker
-/// that pops its reactor out of `epoll_wait`. Shared (via `Arc`) by the
-/// accept threads, the shard thread, and the supervisor — so a
-/// respawned shard thread picks up exactly where its predecessor left
-/// off, queued connections (and their gate permits) included.
-struct Intake {
-    queue: ShardQueue<Admitted>,
-    waker: Waker,
-}
-
 /// Everything a shard thread needs, cloneable so the supervisor can
 /// hand a fresh copy to a respawned thread.
 #[derive(Clone)]
 struct ShardCtx {
     remote: SharedStore,
     stats: Arc<ServeStats>,
+    gate: Arc<Gate>,
+    capture: Arc<CaptureQueue>,
+    seq: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     sensor: SensorIdentity,
     idle_timeout: Duration,
@@ -147,7 +143,7 @@ impl ShardCtx {
 pub struct Server;
 
 impl Server {
-    /// Binds listeners, spawns the accept/worker/stats threads, and
+    /// Binds listeners, spawns the shard/capture/HTTP threads, and
     /// returns a handle. Downloads resolve against [`NullStore`] (every
     /// fetch 404s), which is what a production honeypot wants.
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
@@ -181,54 +177,38 @@ impl Server {
             None => Collector::with_config(cfg.collector.clone()),
         };
 
+        let mut addrs = ListenAddrs::default();
         let mut listeners = Vec::new();
         for (port, proto) in [(cfg.ssh_port, Proto::Ssh), (cfg.telnet_port, Proto::Telnet)] {
             let Some(port) = port else { continue };
             let addr = SocketAddr::new(cfg.bind, port);
-            let listener = TcpListener::bind(addr).map_err(|e| ServeError::Bind {
+            let bind_err = |e| ServeError::Bind {
                 addr: addr.to_string(),
                 source: e,
-            })?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::Bind {
-                    addr: addr.to_string(),
-                    source: e,
-                })?;
-            deepen_backlog(&listener, cfg.max_connections);
-            listeners.push((listener, proto));
+            };
+            let socket = TcpListener::bind(addr).map_err(bind_err)?;
+            socket.set_nonblocking(true).map_err(bind_err)?;
+            deepen_backlog(&socket, cfg.max_connections);
+            let local = socket.local_addr().map_err(bind_err)?;
+            match proto {
+                Proto::Ssh => addrs.ssh = Some(local),
+                Proto::Telnet => addrs.telnet = Some(local),
+            }
+            listeners.push(Listener { socket, proto });
         }
-
-        // Fall back to the polled engine where no readiness API exists.
-        let engine = if crate::reactor::poller_supported() {
-            cfg.engine
-        } else {
-            Engine::Polled
-        };
+        let listeners: Listeners = listeners.into();
+        let pollers = (0..cfg.workers.max(1))
+            .map(|_| shard_poller(&listeners))
+            .collect::<std::io::Result<Vec<_>>>()
+            .map_err(|source| ServeError::Poller { source })?;
 
         let stats = Arc::new(ServeStats::default());
         let gate = Arc::new(Gate::new(cfg.max_connections, cfg.per_ip_limit));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let seq = Arc::new(AtomicU64::new(0));
-        let workers = cfg.workers.max(1);
-
-        // Each intake ring holds a generous multiple of this shard's
-        // share of the connection cap, so a burst dealt unevenly never
-        // wedges the accept thread on a full queue.
-        let ring = (cfg.max_connections.div_ceil(workers) * 2).clamp(256, 65_536);
-        let mut intakes: Vec<Arc<Intake>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            intakes.push(Arc::new(Intake {
-                queue: ShardQueue::with_capacity(ring),
-                waker: Waker::new().map_err(|e| ServeError::Store {
-                    message: format!("cannot create shard waker: {e}"),
-                })?,
-            }));
-        }
 
         // The capture thread owns the collector (and so the store) and
         // publishes the lock-free snapshots the HTTP plane reads. Shards
-        // hand it finished records by move; accept reserves their room.
+        // hand it finished records by move; admission reserves their room.
         let capture = spawn_capture(
             collector,
             CaptureConfig {
@@ -240,41 +220,6 @@ impl Server {
                 capacity: capacity_for(cfg.max_connections),
             },
         );
-
-        let mut addrs = ListenAddrs::default();
-        let mut accept_threads = Vec::new();
-        for (listener, proto) in listeners {
-            let local = listener.local_addr().map_err(|e| ServeError::Bind {
-                addr: "<bound>".into(),
-                source: e,
-            })?;
-            match proto {
-                Proto::Ssh => addrs.ssh = Some(local),
-                Proto::Telnet => addrs.telnet = Some(local),
-            }
-            // Register as a producer *before* the thread exists, so no
-            // shard can observe a closed queue during startup.
-            for intake in &intakes {
-                intake.queue.add_producer();
-            }
-            let intakes = intakes.clone();
-            let stats = Arc::clone(&stats);
-            let gate = Arc::clone(&gate);
-            let shutdown = Arc::clone(&shutdown);
-            let seq = Arc::clone(&seq);
-            let queue = Arc::clone(&capture.queue);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("accept-{proto:?}").to_lowercase())
-                    .spawn(move || {
-                        accept_loop(
-                            listener, proto, engine, &intakes, &stats, &gate, &queue, &shutdown,
-                            &seq,
-                        )
-                    })
-                    .expect("spawn accept thread"),
-            );
-        }
 
         let http = match cfg.http_port {
             Some(port) => {
@@ -295,6 +240,9 @@ impl Server {
         let ctx = ShardCtx {
             remote,
             stats: Arc::clone(&stats),
+            gate: Arc::clone(&gate),
+            capture: Arc::clone(&capture.queue),
+            seq: Arc::new(AtomicU64::new(0)),
             shutdown: Arc::clone(&shutdown),
             sensor: SensorIdentity {
                 honeypot_id: cfg.honeypot_id,
@@ -311,7 +259,7 @@ impl Server {
             let panics = Arc::clone(&shard_panics);
             std::thread::Builder::new()
                 .name("shard-supervisor".into())
-                .spawn(move || supervisor_loop(ctx, engine, intakes, &panics))
+                .spawn(move || supervisor_loop(ctx, pollers, listeners, &panics))
                 .expect("spawn shard supervisor")
         };
 
@@ -321,7 +269,6 @@ impl Server {
             gate,
             shutdown,
             recovery,
-            accept_threads,
             supervisor: Some(supervisor),
             shard_panics,
             capture: Some(capture),
@@ -436,7 +383,6 @@ pub struct ServerHandle {
     gate: Arc<Gate>,
     shutdown: Arc<AtomicBool>,
     recovery: Option<RecoveryReport>,
-    accept_threads: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     shard_panics: Arc<parking_lot::Mutex<Vec<String>>>,
     capture: Option<CaptureHandle>,
@@ -471,7 +417,8 @@ impl ServerHandle {
         self.capture.as_ref().map(|c| c.cell.load())
     }
 
-    /// Starts graceful shutdown: accept loops stop, shards drain.
+    /// Starts graceful shutdown: shards stop accepting and let go of the
+    /// listeners (which close once the last shard has), then drain.
     pub fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
@@ -483,7 +430,7 @@ impl ServerHandle {
 
     /// Triggers shutdown (idempotent), waits for every thread, seals the
     /// store, and returns the final accounting. A panic in any
-    /// accept/supervisor/capture thread surfaces as
+    /// supervisor/capture/HTTP thread surfaces as
     /// [`ServeError::ThreadPanicked`] — after the store is sealed, so a
     /// sick run still keeps its data. (A dead capture thread cannot seal;
     /// the WAL keeps what it committed for recovery on the next open.)
@@ -498,10 +445,6 @@ impl ServerHandle {
                 }
             }
         };
-        for t in self.accept_threads.drain(..) {
-            let name = t.thread().name().unwrap_or("accept").to_string();
-            note_panic(&name, t.join());
-        }
         if let Some(t) = self.supervisor.take() {
             note_panic("shard-supervisor", t.join());
         }
@@ -553,28 +496,6 @@ fn map_collector_error(e: &CollectorError) -> ServeError {
     }
 }
 
-/// Removes this accept thread from every intake's producer count on
-/// exit (panic included) and wakes the shards so they observe the
-/// hangup — the drain protocol's "no more connections are coming".
-struct ProducerGuard<'a> {
-    intakes: &'a [Arc<Intake>],
-}
-
-impl Drop for ProducerGuard<'_> {
-    fn drop(&mut self) {
-        for intake in self.intakes {
-            intake.queue.remove_producer();
-            intake.waker.wake();
-        }
-    }
-}
-
-#[cfg(unix)]
-fn listener_fd(listener: &TcpListener) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-
 /// Re-arms the listener with a backlog sized to the connection cap.
 /// `TcpListener::bind` hardcodes a backlog of 128; under a paper-scale
 /// connect burst the accept queue overflows and every further SYN waits
@@ -590,227 +511,110 @@ fn deepen_backlog(listener: &TcpListener, max_connections: usize) {
     }
     let backlog = max_connections.clamp(128, 65_535) as i32;
     unsafe {
-        let _ = listen(listener_fd(listener), backlog);
+        let _ = listen(raw_fd(listener), backlog);
     }
 }
 
 #[cfg(not(unix))]
 fn deepen_backlog(_listener: &TcpListener, _max_connections: usize) {}
 
-/// Deals an admitted connection into a shard queue, preferring its
-/// round-robin home but overflowing to siblings when that ring is full.
-/// Dropping the connection (shutdown with every ring full) releases its
-/// permit.
-fn dispatch(intakes: &[Arc<Intake>], admitted: Admitted, home: usize, shutdown: &AtomicBool) {
-    let mut item = admitted;
-    let mut target = home;
-    let mut attempts = 0usize;
-    loop {
-        match intakes[target].queue.push(item) {
-            Ok(()) => {
-                // The waker's armed flag collapses this to one syscall
-                // per shard per quiet period, not one per connection.
-                intakes[target].waker.wake();
-                return;
-            }
-            Err(back) => {
-                item = back;
-                target = (target + 1) % intakes.len();
-                attempts += 1;
-                if attempts.is_multiple_of(intakes.len()) {
-                    if shutdown.load(Ordering::Relaxed) {
-                        return; // drop: the permit releases the slot
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
+/// Registers every listener in `poller`, shared with the other shards.
+fn watch_listeners(poller: &mut Poller, listeners: &[Listener]) -> std::io::Result<()> {
+    for (i, l) in listeners.iter().enumerate() {
+        poller.register_shared(raw_fd(&l.socket), u64::MAX - i as u64)?;
+    }
+    Ok(())
+}
+
+/// A new shard's poller, already watching the listeners.
+fn shard_poller(listeners: &[Listener]) -> std::io::Result<Poller> {
+    let mut poller = Poller::new()?;
+    watch_listeners(&mut poller, listeners)?;
+    Ok(poller)
+}
+
+/// What a shard thread tells the supervisor as it ends: its index and,
+/// if it still held them (it died before shutdown), the listeners its
+/// replacement needs.
+type ShardExitNotice = (usize, Option<Listeners>);
+
+/// Sends a shard's [`ShardExitNotice`] on every exit path, panic
+/// included, so the supervisor can block on the channel instead of
+/// polling join handles.
+struct ShardExit {
+    index: usize,
+    listeners: Option<Listeners>,
+    tx: mpsc::Sender<ShardExitNotice>,
+}
+
+impl Drop for ShardExit {
+    fn drop(&mut self) {
+        let _ = self.tx.send((self.index, self.listeners.take()));
     }
 }
 
-/// Accepts until shutdown, shedding over-limit connections at the door.
-/// In reactor mode the thread parks in the poller between bursts; in
-/// polled mode (or if a poller cannot be built) it naps adaptively.
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    proto: Proto,
-    engine: Engine,
-    intakes: &[Arc<Intake>],
-    stats: &Arc<ServeStats>,
-    gate: &Arc<Gate>,
-    capture: &Arc<CaptureQueue>,
-    shutdown: &Arc<AtomicBool>,
-    seq: &AtomicU64,
-) {
-    let _guard = ProducerGuard { intakes };
-    #[cfg(unix)]
-    let mut poller = if engine == Engine::Reactor {
-        Poller::new().ok().and_then(|mut p| {
-            p.register(listener_fd(&listener), 0, Interest::READ)
-                .ok()
-                .map(|()| p)
-        })
-    } else {
-        None
-    };
-    #[cfg(not(unix))]
-    let mut poller: Option<Poller> = {
-        let _ = engine;
-        None
-    };
-    let mut events: Vec<Event> = Vec::new();
-    let mut nap = Backoff::new(Duration::from_micros(500));
-    let mut backoff = Duration::from_millis(1);
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut accepted_any = false;
-        // Drain the backlog before waiting: under an accept storm the
-        // backlog (typically 128) fills in milliseconds.
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    accepted_any = true;
-                    backoff = Duration::from_millis(1);
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    let client_ip = fold_peer_ip(peer.ip());
-                    let permit = match gate.admit(client_ip, stats) {
-                        Ok(p) => p,
-                        Err(Admission::OverCapacity) => {
-                            stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
-                            drop(stream); // shed: close before any protocol state exists
-                            continue;
-                        }
-                        Err(_) => {
-                            stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
-                            drop(stream);
-                            continue;
-                        }
-                    };
-                    let Some(slot) = capture.reserve() else {
-                        // The capture thread is behind: its queue has no
-                        // room for one more record.
-                        stats.shed_capture_backlog.fetch_add(1, Ordering::Relaxed);
-                        continue; // dropping permit and stream sheds it
-                    };
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // dropping permit and slot releases them
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let n = seq.fetch_add(1, Ordering::Relaxed);
-                    let admitted = Admitted {
-                        stream,
-                        permit,
-                        capture: slot,
-                        client_port: peer.port(),
-                        proto,
-                        start_unix: now_unix(),
-                        seq: n,
-                    };
-                    dispatch(intakes, admitted, (n as usize) % intakes.len(), shutdown);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    match e.kind() {
-                        // Per-connection failures (peer vanished between
-                        // SYN and accept): the queue may hold more.
-                        std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset => continue,
-                        // Resource exhaustion (EMFILE/ENFILE lands here
-                        // as Other/Uncategorized) or anything unexpected:
-                        // hot-spinning accept() cannot help — back off
-                        // with a capped exponential sleep and let in-
-                        // flight connections finish and free fds.
-                        _ => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(Duration::from_millis(200));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if accepted_any {
-            nap.reset();
-        } else {
-            match poller.as_mut() {
-                // Park in the kernel until the listener is readable; the
-                // 50ms ceiling bounds shutdown-observation latency.
-                Some(p) => {
-                    if p.wait(Duration::from_millis(50), &mut events).is_err() {
-                        poller = None; // degrade to adaptive naps
-                    }
-                }
-                None => nap.wait(),
-            }
-        }
-    }
-    // Dropping the listener closes the socket: new connects are refused
-    // immediately rather than parked in the backlog during the drain.
-}
-
-/// Runs the shard pool, respawning any shard thread that panics. Holds
-/// every shard's intake queue behind an `Arc`, so a dead shard's queued
-/// connections (gate permits included) survive into its replacement.
-/// Returns once every shard has exited cleanly — which only happens
-/// during shutdown, after the accept threads deregister as producers.
+/// Runs the shard pool, respawning any shard thread that panics before
+/// shutdown. Blocks until a shard exits; returns once every shard has
+/// exited cleanly, which only happens during shutdown.
 fn supervisor_loop(
     ctx: ShardCtx,
-    engine: Engine,
-    intakes: Vec<Arc<Intake>>,
+    pollers: Vec<Poller>,
+    listeners: Listeners,
     shard_panics: &parking_lot::Mutex<Vec<String>>,
 ) {
-    let spawn_shard = |index: usize, generation: u64| -> JoinHandle<()> {
+    let (tx, rx) = mpsc::channel();
+    let spawn_shard = |index: usize, generation: u64, poller: Poller, listeners: Listeners| {
         let ctx = ctx.clone();
-        let intake = Arc::clone(&intakes[index]);
+        let mut exit = ShardExit {
+            index,
+            listeners: Some(listeners),
+            tx: tx.clone(),
+        };
         std::thread::Builder::new()
             .name(format!("shard-{index}"))
-            .spawn(move || match engine {
-                Engine::Reactor => shard_loop_reactor(index, generation, &intake, &ctx),
-                Engine::Polled => shard_loop_polled(index, generation, &intake, &ctx),
-            })
+            .spawn(move || shard_loop(index, generation, poller, &mut exit, &ctx))
             .expect("spawn shard")
     };
-    let mut generation = 0u64;
-    let mut handles: Vec<Option<JoinHandle<()>>> = (0..intakes.len())
-        .map(|i| Some(spawn_shard(i, 0)))
+    let mut handles: Vec<Option<JoinHandle<()>>> = pollers
+        .into_iter()
+        .enumerate()
+        .map(|(i, poller)| Some(spawn_shard(i, 0, poller, Arc::clone(&listeners))))
         .collect();
-    let mut wait = Backoff::new(Duration::from_millis(2));
-    loop {
-        let mut any_alive = false;
-        for (index, slot) in handles.iter_mut().enumerate() {
-            let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
-                any_alive |= slot.is_some();
-                continue;
+    // From here on only shards hold the listeners, so the sockets close
+    // as soon as the last one lets go at shutdown.
+    drop(listeners);
+    let mut alive = handles.len();
+    let mut generation = 0u64;
+    while alive > 0 {
+        let (index, listeners) = rx.recv().expect("the supervisor holds a sender");
+        alive -= 1;
+        let handle = handles[index].take().expect("one exit notice per shard");
+        // A clean exit is final: it means shutdown drained the shard.
+        let Err(payload) = handle.join() else {
+            continue;
+        };
+        let message = panic_message(payload.as_ref());
+        shard_panics
+            .lock()
+            .push(format!("shard-{index}: {message}"));
+        // During shutdown the replacement would have nothing to do.
+        let Some(listeners) = listeners.filter(|_| !ctx.shutdown.load(Ordering::Relaxed)) else {
+            continue;
+        };
+        match shard_poller(&listeners) {
+            Ok(poller) => {
+                // A bumped generation reseeds the chaos injectors, so a
+                // deterministic injected panic does not immediately
+                // re-fire.
+                ctx.stats.shards_respawned.fetch_add(1, Ordering::Relaxed);
+                generation += 1;
+                handles[index] = Some(spawn_shard(index, generation, poller, listeners));
+                alive += 1;
             }
-            let handle = slot.take().expect("finished handle present");
-            if let Err(payload) = handle.join() {
-                let message = panic_message(payload.as_ref());
-                shard_panics
-                    .lock()
-                    .push(format!("shard-{index}: {message}"));
-                if !ctx.shutdown.load(Ordering::Relaxed) {
-                    // Respawn with a bumped generation (the chaos
-                    // injectors are reseeded, so a deterministic
-                    // injected panic does not immediately re-fire).
-                    ctx.stats.shards_respawned.fetch_add(1, Ordering::Relaxed);
-                    generation += 1;
-                    *slot = Some(spawn_shard(index, generation));
-                    any_alive = true;
-                    wait.reset();
-                }
-                // During shutdown the replacement would have nothing to
-                // do; the intake (and any queued permits) drop with
-                // `intakes` below.
-            }
-            // A clean exit is final: it means shutdown drained the shard.
+            Err(e) => shard_panics
+                .lock()
+                .push(format!("shard-{index}: not respawned: {e}")),
         }
-        if !any_alive {
-            return; // `intakes` drop here, releasing any queued permits
-        }
-        wait.wait();
     }
 }
 
@@ -832,130 +636,8 @@ fn chaos_injectors(
     (conn_chaos, shard_chaos)
 }
 
-fn build_conn<'s>(
-    a: Admitted,
-    remote_ref: &'s dyn honeypot::shell::RemoteStore,
-) -> (Conn<'s>, CaptureSlot) {
-    let handler = LiveHandler::new(AuthPolicy::default(), remote_ref);
-    let conn = match a.proto {
-        Proto::Ssh => Conn::ssh(
-            a.stream,
-            a.permit,
-            a.client_port,
-            handler,
-            a.start_unix,
-            a.seq,
-        ),
-        Proto::Telnet => Conn::telnet(a.stream, a.permit, a.client_port, handler, a.start_unix),
-    };
-    (conn, a.capture)
-}
-
-/// One polled worker shard: owns its connections, scans them without
-/// blocking. The baseline engine. Each connection's pump runs under
-/// `catch_unwind`, so one poisoned session cannot take the shard (or
-/// its siblings' gate slots) with it.
-fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &ShardCtx) {
-    let remote_ref: &dyn honeypot::shell::RemoteStore = &*ctx.remote;
-    let (mut conn_chaos, mut shard_chaos) = chaos_injectors(ctx, index, generation);
-    // `doomed` marks connections the chaos config sentenced at intake;
-    // the panic fires inside the per-connection guard.
-    let mut conns: Vec<(Conn<'_>, bool, CaptureSlot)> = Vec::new();
-    let mut intake_open = true;
-    let mut drain_started: Option<Instant> = None;
-    let mut nap = Backoff::new(Duration::from_millis(1));
-
-    loop {
-        // Intake: move admitted sockets into the shard. Lock-free, so
-        // the supervisor never deadlocks with a live shard and a
-        // respawned shard inherits the queue seamlessly.
-        let mut took_any = false;
-        while intake_open {
-            match intake.queue.pop() {
-                PopResult::Item(a) => {
-                    if shard_chaos.fires() {
-                        // Outside the per-connection guard: this kills
-                        // the whole shard thread. `a` (and its permit)
-                        // and every owned connection release on unwind.
-                        panic!("chaos: injected shard panic");
-                    }
-                    took_any = true;
-                    let doomed = conn_chaos.fires();
-                    let (conn, capture) = build_conn(a, remote_ref);
-                    conns.push((conn, doomed, capture));
-                }
-                PopResult::Empty => break,
-                PopResult::Closed => {
-                    intake_open = false;
-                    break;
-                }
-            }
-        }
-
-        // Drain policy: once shutdown is triggered, keep pumping in-flight
-        // sessions for at most `drain_timeout`, then force-close the rest.
-        let draining = ctx.shutdown.load(Ordering::Relaxed);
-        if draining && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-        }
-        let force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-
-        let now = Instant::now();
-        let mut finished_any = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let pumped = {
-                let (conn, doomed, _) = &mut conns[i];
-                if force_close {
-                    conn.abort();
-                }
-                catch_unwind(AssertUnwindSafe(|| {
-                    if *doomed {
-                        panic!("chaos: injected connection panic");
-                    }
-                    force_close || conn.pump(now, ctx.idle_timeout, ctx.session_timeout, &ctx.stats)
-                }))
-            };
-            match pumped {
-                Ok(false) => i += 1,
-                Ok(true) => {
-                    finished_any = true;
-                    let (conn, _, capture) = conns.swap_remove(i);
-                    ctx.record_finished(conn, capture);
-                }
-                Err(_payload) => {
-                    // Contained: record a failed session from plain
-                    // fields only (the machine may be poisoned), release
-                    // the slot via the permit, keep the shard alive.
-                    finished_any = true;
-                    let (conn, _, capture) = conns.swap_remove(i);
-                    ctx.record_failed(conn, capture);
-                }
-            }
-        }
-
-        if took_any || finished_any {
-            nap.reset();
-        }
-        if conns.is_empty() {
-            // Exit once the accept side has hung up (it deregisters as a
-            // producer when it observes shutdown, closing the queue) —
-            // late-admitted sockets arrive through the intake loop above
-            // first, so no gate slot is ever stranded.
-            if !intake_open {
-                return;
-            }
-            nap.wait();
-        } else {
-            // Adaptive yield between scan rounds; the pump loop itself
-            // runs until it stops making progress.
-            nap.wait();
-        }
-    }
-}
-
-/// A connection slot in a reactor shard. `generation` invalidates
-/// stale timer-wheel entries after the slot is reused.
+/// A connection slot in a shard. `generation` invalidates stale
+/// timer-wheel entries after the slot is reused.
 struct ShardSlot<'s> {
     conn: Conn<'s>,
     capture: CaptureSlot,
@@ -964,71 +646,197 @@ struct ShardSlot<'s> {
     armed: Interest,
 }
 
-/// One reactor worker shard: readiness-driven. Connections are pumped
-/// when epoll reports their socket ready or their timer-wheel deadline
-/// fires — never scanned. The intake waker pops the shard out of
-/// `epoll_wait` when the accept thread queues a socket. Crash
-/// containment is identical to the polled engine: per-connection
-/// `catch_unwind`, shard-level chaos at intake.
-fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &ShardCtx) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        // No readiness API after all (fd exhaustion at spawn): degrade
-        // to the polled engine rather than dying.
-        Err(_) => return shard_loop_polled(index, generation, intake, ctx),
-    };
-    if poller
-        .register(intake.waker.fd(), Waker::TOKEN, Interest::READ)
-        .is_err()
-    {
-        return shard_loop_polled(index, generation, intake, ctx);
+/// Reclaimed output buffers a shard keeps, and the largest it keeps.
+const POOL_CAP: usize = 256;
+const POOL_BUF_MAX: usize = 64 * 1024;
+/// First and longest pause of accept after a resource error.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
+
+/// One shard's state: its poller, its connections and their timers.
+struct Shard<'s> {
+    ctx: &'s ShardCtx,
+    remote: &'s dyn RemoteStore,
+    poller: Poller,
+    slots: Vec<Option<ShardSlot<'s>>>,
+    free: Vec<usize>,
+    live: usize,
+    slot_gen: u64,
+    wheel: TimerWheel,
+    /// One read buffer for every connection on the shard, plus a pool
+    /// of reclaimed output buffers: allocation churn drops to at most
+    /// one pool miss per accept.
+    read_buf: Vec<u8>,
+    out_pool: Vec<Vec<u8>>,
+    conn_chaos: FailureInjector,
+    shard_chaos: FailureInjector,
+    /// While set, the listeners are unwatched: accept hit a resource
+    /// error such as fd exhaustion.
+    accept_paused_until: Option<Instant>,
+    accept_backoff: Duration,
+}
+
+impl<'s> Shard<'s> {
+    fn new(index: usize, generation: u64, poller: Poller, ctx: &'s ShardCtx) -> Self {
+        let (conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
+        Shard {
+            ctx,
+            remote: &*ctx.remote,
+            poller,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            slot_gen: 0,
+            wheel: TimerWheel::new(256, Duration::from_millis(100), Instant::now()),
+            read_buf: vec![0u8; 16 * 1024],
+            out_pool: Vec::new(),
+            conn_chaos,
+            shard_chaos,
+            accept_paused_until: None,
+            accept_backoff: ACCEPT_BACKOFF_MIN,
+        }
     }
-    let remote_ref: &dyn honeypot::shell::RemoteStore = &*ctx.remote;
-    let (mut conn_chaos, mut shard_chaos) = chaos_injectors(ctx, index, generation);
 
-    let mut slots: Vec<Option<ShardSlot<'_>>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    let mut slot_gen = 0u64;
-    let mut wheel = TimerWheel::new(256, Duration::from_millis(100), Instant::now());
-    // One shared read buffer for every connection on the shard, plus a
-    // pool of reclaimed output buffers — per-connection allocation
-    // churn drops to (at most) one pool miss per intake.
-    let mut read_buf = vec![0u8; 16 * 1024];
-    let mut out_pool: Vec<Vec<u8>> = Vec::new();
-    const POOL_CAP: usize = 256;
-    const POOL_BUF_MAX: usize = 64 * 1024;
+    /// Accepts from listener `i` until its backlog is empty.
+    fn accept(&mut self, listeners: &[Listener], i: usize) {
+        if self.accept_paused_until.is_some() {
+            return; // a sibling listener's event in the batch that paused
+        }
+        let listener = &listeners[i];
+        loop {
+            match listener.socket.accept() {
+                Ok((stream, peer)) => {
+                    self.accept_backoff = ACCEPT_BACKOFF_MIN;
+                    self.admit(stream, peer, listener.proto);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    match e.kind() {
+                        // Per-connection failures (peer vanished between
+                        // SYN and accept): the backlog may hold more.
+                        std::io::ErrorKind::ConnectionAborted
+                        | std::io::ErrorKind::ConnectionReset => continue,
+                        // Resource exhaustion (EMFILE/ENFILE land here as
+                        // Other/Uncategorized) or anything unexpected:
+                        // retrying at once cannot help, and the readable
+                        // listener would spin the poller. Stop watching
+                        // it for a capped exponential backoff while
+                        // in-flight connections finish and free fds.
+                        _ => {
+                            for l in listeners {
+                                let _ = self.poller.deregister(raw_fd(&l.socket));
+                            }
+                            self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
+                            self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                            return;
+                        }
+                    }
+                }
+            }
+        }
+    }
 
-    let mut events: Vec<Event> = Vec::new();
-    let mut expired: Vec<(u64, u64)> = Vec::new();
-    let mut intake_open = true;
-    let mut drain_started: Option<Instant> = None;
+    /// Watches the listeners again once an accept pause has run out.
+    fn resume_accept(&mut self, listeners: &[Listener], now: Instant) {
+        if matches!(self.accept_paused_until, Some(t) if now >= t) {
+            self.accept_paused_until = None;
+            let _ = watch_listeners(&mut self.poller, listeners);
+        }
+    }
 
-    // Pumps slot `i` under the per-connection guard; returns and frees
-    // the slot if the connection finished (or its pump panicked).
-    // Implemented as a macro-free closure-by-convention: the borrow
-    // checker cannot split `slots`/`poller`/`wheel` through a closure,
-    // so this is a local fn taking everything it touches.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_slot(
-        i: usize,
-        force_close: bool,
-        now: Instant,
-        slots: &mut Vec<Option<ShardSlot<'_>>>,
-        free: &mut Vec<usize>,
-        live: &mut usize,
-        poller: &mut Poller,
-        out_pool: &mut Vec<Vec<u8>>,
-        read_buf: &mut [u8],
-        ctx: &ShardCtx,
-    ) {
-        let Some(slot) = slots.get_mut(i).and_then(Option::as_mut) else {
+    /// Admission, then a slot: sheds over-limit sockets before any
+    /// protocol state exists, otherwise registers the connection and
+    /// gives it its first pump.
+    fn admit(&mut self, stream: TcpStream, peer: SocketAddr, proto: Proto) {
+        let ctx = self.ctx;
+        let stats = &ctx.stats;
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
+        // Every early return below drops the stream (and whatever was
+        // already reserved), which sheds the connection.
+        let permit = match ctx.gate.admit(fold_peer_ip(peer.ip()), stats) {
+            Ok(p) => p,
+            Err(Admission::OverCapacity) => {
+                stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Err(_) => {
+                stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        };
+        let Some(capture) = ctx.capture.reserve() else {
+            // The capture thread is behind: its queue has no room for
+            // one more record.
+            stats.shed_capture_backlog.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        if self.shard_chaos.fires() {
+            // Outside the per-connection guard: kills the whole shard
+            // thread. The socket, its permit and slot, and every owned
+            // connection release on unwind.
+            panic!("chaos: injected shard panic");
+        }
+        let doomed = self.conn_chaos.fires();
+        let handler = LiveHandler::new(AuthPolicy::default(), self.remote);
+        let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
+        let mut conn = match proto {
+            Proto::Ssh => Conn::ssh(stream, permit, peer.port(), handler, now_unix(), seq),
+            Proto::Telnet => Conn::telnet(stream, permit, peer.port(), handler, now_unix()),
+        };
+        if let Some(buf) = self.out_pool.pop() {
+            conn.adopt_out_buffer(buf);
+        }
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        // Register before the first pump so no readiness edge is lost
+        // between pump and registration.
+        if self
+            .poller
+            .register(conn.raw_fd(), i as u64, Interest::READ)
+            .is_err()
+        {
+            // Cannot watch this socket: fail the session rather than
+            // strand it unpumped forever.
+            self.free.push(i);
+            conn.abort();
+            ctx.record_finished(conn, capture);
+            return;
+        }
+        self.slot_gen += 1;
+        self.slots[i] = Some(ShardSlot {
+            conn,
+            capture,
+            doomed,
+            generation: self.slot_gen,
+            armed: Interest::READ,
+        });
+        self.live += 1;
+        // The SSH banner goes out on this first pump; a scanner that
+        // connects and hangs up may finish on it.
+        self.pump(i, false, Instant::now());
+        self.arm_timer(i);
+    }
+
+    /// Pumps slot `i` under the per-connection guard; a connection that
+    /// finished (or whose pump panicked) is recorded and its slot freed.
+    fn pump(&mut self, i: usize, force_close: bool, now: Instant) {
+        let ctx = self.ctx;
+        let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
             return; // already finished this tick (e.g. event + timer)
         };
         if force_close {
             slot.conn.abort();
         }
         let doomed = slot.doomed;
+        let read_buf = &mut self.read_buf;
         let pumped = catch_unwind(AssertUnwindSafe(|| {
             if doomed {
                 panic!("chaos: injected connection panic");
@@ -1042,232 +850,229 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                     &ctx.stats,
                 )
         }));
-        let finished = !matches!(pumped, Ok(false));
-        if finished {
-            let mut slot = slots[i].take().expect("slot checked above");
-            #[cfg(unix)]
-            let _ = poller.deregister(slot.conn.raw_fd());
-            let buf = slot.conn.reclaim_out_buffer();
-            if out_pool.len() < POOL_CAP && buf.capacity() > 0 && buf.capacity() <= POOL_BUF_MAX {
-                out_pool.push(buf);
-            }
-            match pumped {
-                Err(_payload) => ctx.record_failed(slot.conn, slot.capture),
-                _ => ctx.record_finished(slot.conn, slot.capture),
-            }
-            free.push(i);
-            *live -= 1;
-            // Any timer-wheel entries for this slot die via the slot
-            // generation check when they fire.
-        } else {
-            // Re-arm write interest only when it changed — kernel
-            // round-trips on interest are not free.
+        if matches!(pumped, Ok(false)) {
+            // Re-arm write interest only when it changed: each change
+            // is a syscall.
             let want = conn_interest(slot.conn.wants_write());
             if want != slot.armed {
-                #[cfg(unix)]
-                let _ = poller.reregister(slot.conn.raw_fd(), i as u64, want);
+                let _ = self.poller.reregister(slot.conn.raw_fd(), i as u64, want);
                 slot.armed = want;
             }
+            return;
+        }
+        let mut slot = self.slots[i].take().expect("slot checked above");
+        // Closing the socket (below) takes it out of an epoll set by
+        // itself, since no other fd shares it; poll(2) must be told.
+        #[cfg(not(target_os = "linux"))]
+        let _ = self.poller.deregister(slot.conn.raw_fd());
+        let buf = slot.conn.reclaim_out_buffer();
+        if self.out_pool.len() < POOL_CAP && buf.capacity() > 0 && buf.capacity() <= POOL_BUF_MAX {
+            self.out_pool.push(buf);
+        }
+        match pumped {
+            Err(_payload) => ctx.record_failed(slot.conn, slot.capture),
+            _ => ctx.record_finished(slot.conn, slot.capture),
+        }
+        self.free.push(i);
+        self.live -= 1;
+        // Timer-wheel entries for this slot die on the generation check
+        // when they fire.
+    }
+
+    /// Schedules slot `i`'s next deadline, if the slot is still live.
+    fn arm_timer(&mut self, i: usize) {
+        if let Some(slot) = self.slots.get(i).and_then(Option::as_ref) {
+            let deadline = slot
+                .conn
+                .deadline(self.ctx.idle_timeout, self.ctx.session_timeout);
+            self.wheel.insert(i as u64, slot.generation, deadline);
         }
     }
 
-    loop {
-        // Intake: move admitted sockets into slots, register them with
-        // the poller and the timer wheel, and give them their first
-        // pump (the SSH banner goes out here; a scanner that connects
-        // and hangs up may finish on this very pump).
-        let mut force_close =
-            matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-        while intake_open {
-            match intake.queue.pop() {
-                PopResult::Item(a) => {
-                    if shard_chaos.fires() {
-                        // Outside the per-connection guard: kills the
-                        // whole shard thread. `a` (and its permit) and
-                        // every owned connection release on unwind.
-                        panic!("chaos: injected shard panic");
-                    }
-                    let doomed = conn_chaos.fires();
-                    let (mut conn, capture) = build_conn(a, remote_ref);
-                    if let Some(buf) = out_pool.pop() {
-                        conn.adopt_out_buffer(buf);
-                    }
-                    let i = free.pop().unwrap_or_else(|| {
-                        slots.push(None);
-                        slots.len() - 1
-                    });
-                    slot_gen += 1;
-                    slots[i] = Some(ShardSlot {
-                        conn,
-                        capture,
-                        doomed,
-                        generation: slot_gen,
-                        armed: Interest::READ,
-                    });
-                    live += 1;
-                    // Register before the first pump so no readiness
-                    // edge is lost between pump and registration.
-                    #[cfg(unix)]
-                    {
-                        let slot = slots[i].as_ref().expect("just placed");
-                        if poller
-                            .register(slot.conn.raw_fd(), i as u64, Interest::READ)
-                            .is_err()
-                        {
-                            // Cannot watch this socket: fail the session
-                            // rather than strand it unpumped forever.
-                            let mut slot = slots[i].take().expect("just placed");
-                            slot.conn.abort();
-                            ctx.record_finished(slot.conn, slot.capture);
-                            free.push(i);
-                            live -= 1;
-                            continue;
-                        }
-                    }
-                    let now = Instant::now();
-                    pump_slot(
-                        i,
-                        force_close,
-                        now,
-                        &mut slots,
-                        &mut free,
-                        &mut live,
-                        &mut poller,
-                        &mut out_pool,
-                        &mut read_buf,
-                        ctx,
-                    );
-                    if let Some(slot) = slots.get(i).and_then(Option::as_ref) {
-                        wheel.insert(
-                            i as u64,
-                            slot.generation,
-                            slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout),
-                        );
-                    }
-                }
-                PopResult::Empty => break,
-                PopResult::Closed => {
-                    intake_open = false;
-                }
-            }
-        }
-
-        // Drain policy: identical to the polled engine.
-        let draining = ctx.shutdown.load(Ordering::Relaxed);
-        if draining && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-        }
-        if !force_close {
-            force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-        }
-        if force_close && live > 0 {
-            // Sweep every in-flight connection closed (recorded as
-            // timed out), exactly like the polled engine's final round.
-            let now = Instant::now();
-            for i in 0..slots.len() {
-                pump_slot(
-                    i,
-                    true,
-                    now,
-                    &mut slots,
-                    &mut free,
-                    &mut live,
-                    &mut poller,
-                    &mut out_pool,
-                    &mut read_buf,
-                    ctx,
-                );
-            }
-        }
-
-        if live == 0 && !intake_open {
-            return; // drained and the accept side hung up
-        }
-
-        // Park until something is ready. The ceiling bounds how late we
-        // observe shutdown, drain expiry, and timer-wheel deadlines.
-        let timeout = if draining {
-            Duration::from_millis(10)
-        } else {
-            Duration::from_millis(50)
-        };
-        if poller.wait(timeout, &mut events).is_err() {
-            events.clear();
-        }
-        let now = Instant::now();
-        let mut woken = false;
-        for ev in &events {
-            let ev = *ev;
-            if ev.token == Waker::TOKEN {
-                woken = true;
-                continue;
-            }
-            pump_slot(
-                ev.token as usize,
-                force_close,
-                now,
-                &mut slots,
-                &mut free,
-                &mut live,
-                &mut poller,
-                &mut out_pool,
-                &mut read_buf,
-                ctx,
-            );
-        }
-        if woken {
-            // Drain *after* pumping so a wake arriving mid-loop is
-            // consumed only once the queue is about to be re-polled.
-            intake.waker.drain();
-        }
-
-        // Timer wheel: fire expired deadlines. Entries carry the slot
-        // generation, so a reused slot ignores its predecessor's
-        // timers; a deadline pushed forward by activity re-inserts.
-        wheel.advance(now, &mut expired);
+    /// Fires expired deadlines. Entries carry the slot generation, so a
+    /// reused slot ignores its predecessor's timers; a deadline pushed
+    /// forward by activity re-inserts.
+    fn fire_timers(&mut self, now: Instant, force_close: bool, expired: &mut Vec<(u64, u64)>) {
+        self.wheel.advance(now, expired);
         for (token, gen) in expired.drain(..) {
             let i = token as usize;
-            let Some(slot) = slots.get(i).and_then(Option::as_ref) else {
+            let Some(slot) = self.slots.get(i).and_then(Option::as_ref) else {
                 continue;
             };
             if slot.generation != gen {
                 continue;
             }
-            let deadline = slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout);
+            let deadline = slot
+                .conn
+                .deadline(self.ctx.idle_timeout, self.ctx.session_timeout);
             if deadline <= now {
-                // Really expired: the pump's own deadline check marks
-                // it timed out and finishes it.
-                pump_slot(
-                    i,
-                    force_close,
-                    now,
-                    &mut slots,
-                    &mut free,
-                    &mut live,
-                    &mut poller,
-                    &mut out_pool,
-                    &mut read_buf,
-                    ctx,
-                );
-                if let Some(slot) = slots.get(i).and_then(Option::as_ref) {
-                    // Survived (activity raced the deadline): rearm.
-                    wheel.insert(
-                        i as u64,
-                        slot.generation,
-                        slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout),
-                    );
-                }
+                // Really expired: the pump's own deadline check marks it
+                // timed out and finishes it. If activity raced the
+                // deadline it survives and is re-armed.
+                self.pump(i, force_close, now);
+                self.arm_timer(i);
             } else {
-                wheel.insert(token, gen, deadline);
+                self.wheel.insert(token, gen, deadline);
             }
         }
+    }
+}
+
+/// One reactor worker shard: readiness-driven. It accepts when a
+/// listener is readable and pumps a connection when its socket is ready
+/// or its timer-wheel deadline fires — never by scanning. Per-connection
+/// `catch_unwind` contains connection panics; shard-level chaos fires at
+/// admission.
+fn shard_loop(index: usize, generation: u64, poller: Poller, exit: &mut ShardExit, ctx: &ShardCtx) {
+    let mut shard = Shard::new(index, generation, poller, ctx);
+    let mut events: Vec<Event> = Vec::new();
+    let mut expired: Vec<(u64, u64)> = Vec::new();
+    let mut drain_started: Option<Instant> = None;
+    loop {
+        if drain_started.is_none() && ctx.shutdown.load(Ordering::Relaxed) {
+            drain_started = Some(Instant::now());
+            // Stop accepting. The sockets close once every shard has let
+            // go, so connects are refused during the drain.
+            if let Some(listeners) = exit.listeners.take() {
+                for l in listeners.iter() {
+                    let _ = shard.poller.deregister(raw_fd(&l.socket));
+                }
+            }
+        }
+        // Drain policy: once shutdown is triggered, keep pumping in-flight
+        // sessions for at most `drain_timeout`, then sweep the rest
+        // closed (recorded as timed out).
+        let force_close = drain_started.is_some_and(|t0| t0.elapsed() >= ctx.drain_timeout);
+        if force_close && shard.live > 0 {
+            let now = Instant::now();
+            for i in 0..shard.slots.len() {
+                shard.pump(i, true, now);
+            }
+        }
+        if drain_started.is_some() && shard.live == 0 {
+            return;
+        }
+
+        // Park until something is ready. The ceiling bounds how late we
+        // observe shutdown, drain expiry, and timer-wheel deadlines.
+        let mut timeout = if drain_started.is_some() {
+            Duration::from_millis(10)
+        } else {
+            Duration::from_millis(50)
+        };
+        if let Some(until) = shard.accept_paused_until {
+            timeout = timeout.min(until.saturating_duration_since(Instant::now()));
+        }
+        if shard.poller.wait(timeout, &mut events).is_err() {
+            events.clear();
+        }
+        let now = Instant::now();
+        // A connect that woke us after shutdown was triggered is left to
+        // the listener's close on the next turn.
+        let accepting = !ctx.shutdown.load(Ordering::Relaxed);
+        for ev in &events {
+            match listener_index(ev.token) {
+                Some(i) => {
+                    if let Some(listeners) = exit.listeners.as_deref().filter(|_| accepting) {
+                        shard.accept(listeners, i);
+                    }
+                }
+                None => shard.pump(ev.token as usize, force_close, now),
+            }
+        }
+        if let Some(listeners) = exit.listeners.as_deref() {
+            shard.resume_accept(listeners, now);
+        }
+        shard.fire_timers(now, force_close, &mut expired);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::Ipv6Addr;
+
+    fn shard_ctx(gate: Gate, capture: &Arc<CaptureQueue>) -> ShardCtx {
+        let defaults = ServeConfig::default();
+        ShardCtx {
+            remote: Arc::new(NullStore),
+            stats: Arc::new(ServeStats::default()),
+            gate: Arc::new(gate),
+            capture: Arc::clone(capture),
+            seq: Arc::new(AtomicU64::new(0)),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            sensor: SensorIdentity {
+                honeypot_id: defaults.honeypot_id,
+                honeypot_ip: defaults.honeypot_ip,
+            },
+            idle_timeout: defaults.idle_timeout,
+            session_timeout: defaults.session_timeout,
+            drain_timeout: defaults.drain_timeout,
+            chaos: ChaosConfig::default(),
+        }
+    }
+
+    /// Each admission refusal is counted under its own reason by the
+    /// shard that accepted the socket, and closes it with nothing held.
+    #[test]
+    fn a_shard_sheds_at_accept_and_counts_each_reason() {
+        type Counter = fn(&StatsSnapshot) -> u64;
+        let cases: [(&str, Gate, usize, Counter); 3] = [
+            ("capacity", Gate::new(0, 8), 8, |s| s.shed_capacity),
+            ("per-ip", Gate::new(8, 0), 8, |s| s.shed_per_ip),
+            ("capture backlog", Gate::new(8, 8), 1, |s| {
+                s.shed_capture_backlog
+            }),
+        ];
+        for (reason, gate, capacity, shed) in cases {
+            let capture = CaptureQueue::new(capacity);
+            // A full capture queue: an open connection holds every slot.
+            let held: Vec<_> = if capacity == 1 {
+                capture.reserve().into_iter().collect()
+            } else {
+                Vec::new()
+            };
+            let ctx = shard_ctx(gate, &capture);
+            let socket = TcpListener::bind("127.0.0.1:0").unwrap();
+            socket.set_nonblocking(true).unwrap();
+            let addr = socket.local_addr().unwrap();
+            let listeners: Listeners = vec![Listener {
+                socket,
+                proto: Proto::Ssh,
+            }]
+            .into();
+            let mut shard = Shard::new(0, 0, shard_poller(&listeners).unwrap(), &ctx);
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut events = Vec::new();
+            shard
+                .poller
+                .wait(Duration::from_secs(5), &mut events)
+                .unwrap();
+            assert_eq!(listener_index(events[0].token), Some(0), "{reason}");
+            shard.accept(&listeners, 0);
+
+            let snap = ctx.stats.snapshot();
+            assert_eq!(snap.accepted, 1, "{reason}");
+            assert_eq!(shed(&snap), 1, "{reason}");
+            assert_eq!(
+                snap.shed_capacity + snap.shed_per_ip + snap.shed_capture_backlog,
+                1,
+                "{reason}: one reason per shed"
+            );
+            assert_eq!(shard.live, 0, "{reason}");
+            assert_eq!(ctx.gate.active(), 0, "{reason}: no gate slot kept");
+            assert_eq!(capture.held(), held.len(), "{reason}: no capture slot kept");
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut buf = [0u8; 64];
+            assert!(
+                matches!(client.read(&mut buf), Ok(0) | Err(_)),
+                "{reason}: a shed socket closes without a banner"
+            );
+        }
+    }
 
     #[test]
     fn serve_report_render_and_api_json_agree() {

@@ -2,7 +2,7 @@
 //! [`serve::Server`], with the resulting store read back through
 //! `sessiondb`.
 
-use serve::{fold_peer_ip, ChaosConfig, Engine, Gate, ServeConfig, ServeStats, Server};
+use serve::{fold_peer_ip, ChaosConfig, Gate, ServeConfig, ServeStats, Server};
 use sshwire::{ClientScript, SshClient};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,7 +32,11 @@ fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Option<usize> {
 
 /// Plays one scripted SSH session over a real socket.
 fn drive_ssh(addr: SocketAddr, script: ClientScript) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    drive_ssh_on(TcpStream::connect(addr).expect("connect"), script);
+}
+
+/// Plays one scripted SSH session over an already connected socket.
+fn drive_ssh_on(mut stream: TcpStream, script: ClientScript) {
     stream
         .set_read_timeout(Some(Duration::from_millis(20)))
         .unwrap();
@@ -430,8 +434,7 @@ fn injected_shard_panics_respawn_and_keep_serving() {
         "the server kept accepting through every shard death"
     );
 
-    // Respawned shards still serve: two more clients land on both shards
-    // (round-robin) and are accepted.
+    // Respawned shards still serve: two more clients are accepted.
     for i in 0..2 {
         let script = ClientScript::new("root", &["admin"], &[&format!("echo after-{i}")]);
         drive_tolerant(addr, script);
@@ -518,36 +521,96 @@ fn stalled_connection_cannot_block_siblings() {
     handle.join().expect("join");
 }
 
-/// The legacy polling engine stays a first-class citizen (it is the
-/// bench baseline and the fallback on platforms without epoll/poll):
-/// full round-trip through `--engine polled`.
 #[test]
-fn polled_engine_still_serves_sessions() {
+fn global_cap_sheds_at_accept_time() {
     let cfg = ServeConfig {
+        max_connections: 1,
         workers: 2,
-        engine: Engine::Polled,
         stats_interval: None,
         ..ServeConfig::default()
     };
     let handle = Server::start(cfg).expect("start");
     let addr = handle.addrs().ssh.expect("ssh addr");
-    let n = 6u64;
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            scope.spawn(move || {
-                let script = ClientScript::new("root", &["admin"], &[&format!("echo polled-{i}")]);
-                drive_ssh(addr, script);
-            });
-        }
-    });
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.stats().completed < n && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+
+    let mut first = TcpStream::connect(addr).expect("connect");
+    first
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 256];
+    assert!(first.read(&mut buf).expect("banner") > 0);
+
+    // The cap is global: whichever shard accepts the second connect
+    // sees the first one's slot taken, and sheds it unanswered.
+    let mut second = TcpStream::connect(addr).expect("connect");
+    second
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert!(
+        matches!(second.read(&mut buf), Ok(0) | Err(_)),
+        "a shed connection gets no banner"
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().shed_capacity < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
+    drop(first);
     let report = handle.join().expect("join");
-    assert_eq!(report.snapshot.completed, n);
+    assert_eq!(report.snapshot.accepted, 2);
+    assert_eq!(report.snapshot.shed_capacity, 1);
+    assert_eq!(report.snapshot.shed_per_ip, 0);
+    assert_eq!(report.snapshot.completed, 1);
+}
+
+/// Shutdown closes the listeners at once (every shard lets go of them)
+/// while a session admitted before it still drains to completion.
+#[test]
+fn connects_are_refused_while_an_in_flight_session_drains() {
+    let cfg = ServeConfig {
+        workers: 2,
+        stats_interval: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg).expect("start");
+    let addr = handle.addrs().ssh.expect("ssh addr");
+
+    // Admitted and banner sent; peek leaves the banner for the client.
+    let in_flight = TcpStream::connect(addr).expect("connect");
+    in_flight
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    assert!(in_flight.peek(&mut buf).expect("banner") > 0);
+
+    handle.trigger_shutdown();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let refused = loop {
+        match TcpStream::connect(addr) {
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => break true,
+            _ if Instant::now() >= deadline => break false,
+            _ => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    assert!(
+        refused,
+        "connects must be refused once shutdown is triggered"
+    );
+    // A shard already inside its accept loop when shutdown was triggered
+    // may still take a connect that raced the trigger; the in-flight
+    // session is open either way, and is driven to completion below.
+    assert!(handle.active() >= 1, "the in-flight session is still open");
+
+    drive_ssh_on(
+        in_flight,
+        ClientScript::new("root", &["admin"], &["uname -a"]),
+    );
+    let report = handle.join().expect("join");
+    assert!(
+        report.snapshot.completed >= 1,
+        "the in-flight session drained"
+    );
+    assert_eq!(report.snapshot.timed_out, 0, "nothing was cut off");
     assert_eq!(
-        report.snapshot.shed_capacity + report.snapshot.shed_per_ip,
-        0
+        report.snapshot.completed, report.snapshot.accepted,
+        "every admitted connection was recorded"
     );
 }

@@ -374,20 +374,22 @@ impl StoreWriter {
             self.total_rows += run.len() as u64;
             if writer.rows() as usize >= self.rows_per_segment {
                 self.seal()?;
+                // The sealed segment now owns these rows (and the seal is
+                // durable), so the log restarts for the next segment.
+                if let Some(wal) = &mut self.wal {
+                    wal.reset(self.next_segment)?;
+                }
             }
             rest = tail;
         }
         Ok(())
     }
 
+    /// Seals the current segment, if any. The caller then restarts the
+    /// log or, on close, removes it.
     fn seal(&mut self) -> Result<(), SessionDbError> {
         if let Some(writer) = self.current.take() {
             self.sealed.push(writer.finish()?);
-            // The sealed segment now owns these rows (and the seal is
-            // durable), so the log restarts for the next segment.
-            if let Some(wal) = &mut self.wal {
-                wal.reset(self.next_segment)?;
-            }
         }
         Ok(())
     }
@@ -1062,6 +1064,12 @@ mod tests {
                 w.append_batch(run).unwrap();
             }
             drop(w); // crash: no finish
+            let wal = std::fs::read(dir.join(crate::WAL_FILE)).unwrap();
+            assert_eq!(
+                wal.last(),
+                Some(&0),
+                "fsync every {every}: the log is zero-filled past its frames"
+            );
             let report = recover(&dir).unwrap();
             assert!(!report.wal_stale, "fsync every {every}");
             assert_eq!(report.recovered_rows, 7, "fsync every {every}");

@@ -47,7 +47,7 @@ use honeypot::{
 };
 use hutil::{crc32, DateTime};
 use netsim::Ipv4Addr;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Byte length of the fixed WAL header.
@@ -371,22 +371,28 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Truncates the log back to a bare header covering `segment_index`.
-    /// Called after a segment seals: the sealed file now owns those rows,
-    /// so the log restarts for the next segment.
+    /// Restarts the log for the unsealed segment `segment_index`. Called
+    /// after a segment seals: the sealed file now owns those rows.
+    ///
+    /// The frames are overwritten with zeros (and synced) before the new
+    /// header names the next segment, so no crash can pair that header
+    /// with the old frames. The file keeps the length this log reached,
+    /// zero-filled: the next segment's appends overwrite blocks inside
+    /// the file, and their `fdatasync` has no size change to commit.
     pub fn reset(&mut self, segment_index: u64) -> Result<(), SessionDbError> {
+        let io = |e| SessionDbError::io(&self.path, e);
+        let reached = self.file.stream_position().map_err(io)?;
         self.file
-            .set_len(0)
-            .map_err(|e| SessionDbError::io(&self.path, e))?;
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| SessionDbError::io(&self.path, e))?;
+            .seek(SeekFrom::Start(WAL_HEADER_LEN as u64))
+            .map_err(io)?;
+        let frames = reached.saturating_sub(WAL_HEADER_LEN as u64);
+        std::io::copy(&mut std::io::repeat(0).take(frames), &mut self.file).map_err(io)?;
+        self.file.sync_data().map_err(io)?;
+        self.file.seek(SeekFrom::Start(0)).map_err(io)?;
         self.file
             .write_all(&header_bytes(segment_index))
-            .map_err(|e| SessionDbError::io(&self.path, e))?;
-        self.file
-            .sync_all()
-            .map_err(|e| SessionDbError::io(&self.path, e))?;
+            .map_err(io)?;
+        self.file.sync_all().map_err(io)?;
         self.unsynced = 0;
         Ok(())
     }
@@ -413,7 +419,8 @@ pub struct WalReplay {
     /// Records in the longest valid frame prefix, in append order.
     pub rows: Vec<SessionRecord>,
     /// Bytes after the last valid frame (torn tail, corrupt frame, or
-    /// trailing garbage) — lost, by design, rather than guessed at.
+    /// trailing garbage) up to the last non-zero byte — lost, by design,
+    /// rather than guessed at. A reset's zero fill is not counted.
     pub bytes_lost: u64,
 }
 
@@ -452,10 +459,16 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, SessionDbError> {
     let mut rows = Vec::new();
     let mut pos = WAL_HEADER_LEN;
     let mut bytes_lost = 0u64;
-    while pos < bytes.len() {
+    // A reset leaves the log zero-filled past its frames, and no frame
+    // starts with a zero length: zeros from a frame boundary to the end
+    // of the file are the log's clean end. A bad frame loses the bytes
+    // from it up to the last non-zero byte.
+    let end = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    while pos < end {
         let rem = bytes.len() - pos;
+        let lost = (end - pos) as u64;
         if rem < 8 {
-            bytes_lost = rem as u64;
+            bytes_lost = lost;
             break;
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
@@ -463,12 +476,12 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, SessionDbError> {
         if len > rem - 8 {
             // Torn tail: the frame was being written when the crash hit
             // (or the length itself is garbage). Either way, stop here.
-            bytes_lost = rem as u64;
+            bytes_lost = lost;
             break;
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
         if crc32(payload) != stored_crc {
-            bytes_lost = rem as u64;
+            bytes_lost = lost;
             break;
         }
         match decode_record(payload) {
@@ -476,7 +489,7 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, SessionDbError> {
             Err(_) => {
                 // CRC-valid but undecodable — treat like any other
                 // corrupt tail rather than surfacing garbage rows.
-                bytes_lost = rem as u64;
+                bytes_lost = lost;
                 break;
             }
         }
@@ -609,6 +622,91 @@ mod tests {
         assert_eq!(replay.segment_index, 1);
         assert_eq!(replay.rows.len(), 1);
         assert_eq!(replay.rows[0], rec(100));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reset keeps the length the log reached, zero-filled, and the
+    /// zeros after the last frame replay as the clean end of the log.
+    #[test]
+    fn reset_zero_fills_and_the_zero_tail_is_a_clean_end() {
+        let dir = tmpdir("zero-fill");
+        let path = dir.join(crate::WAL_FILE);
+        let mut w = WalWriter::create(&path, FsyncPolicy::EveryN(1), 0).unwrap();
+        for i in 0..6 {
+            w.append(&rec(i)).unwrap();
+        }
+        let reached = std::fs::metadata(&path).unwrap().len();
+        w.reset(1).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, reached, "the length is kept");
+        assert_eq!(bytes[..WAL_HEADER_LEN], header_bytes(1));
+        assert!(bytes[WAL_HEADER_LEN..].iter().all(|&b| b == 0));
+        let r = replay(&path).unwrap();
+        assert_eq!((r.segment_index, r.rows.len(), r.bytes_lost), (1, 0, 0));
+
+        // The next segment's frames overwrite the zeros in place.
+        for i in 10..13 {
+            w.append(&rec(i)).unwrap();
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), reached);
+        let r = replay(&path).unwrap();
+        assert_eq!(r.rows, (10..13).map(rec).collect::<Vec<_>>());
+        assert_eq!(r.bytes_lost, 0, "zero fill is not lost bytes");
+
+        // A log that outgrows the fill just grows.
+        for i in 13..20 {
+            w.append(&rec(i)).unwrap();
+        }
+        let r = replay(&path).unwrap();
+        assert_eq!(r.rows, (10..20).map(rec).collect::<Vec<_>>());
+        assert_eq!(r.bytes_lost, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frame torn inside the zero fill (its tail never written, or
+    /// only its length field) stops replay after the valid prefix, and
+    /// only its written bytes count as lost.
+    #[test]
+    fn torn_frame_inside_the_zero_fill_keeps_the_valid_prefix() {
+        let dir = tmpdir("zero-torn");
+        let path = dir.join(crate::WAL_FILE);
+        let mut w = WalWriter::create(&path, FsyncPolicy::Never, 0).unwrap();
+        for i in 0..8 {
+            w.append(&rec(i)).unwrap();
+        }
+        w.reset(1).unwrap();
+        let mut frames = Vec::new();
+        for i in 20..23 {
+            put_frame(&mut frames, &rec(i));
+        }
+        let filled = std::fs::read(&path).unwrap();
+        let third = frames.len() - (8 + encode_record(&rec(22)).len());
+        let torn_path = dir.join("torn.hswal");
+        // The third frame's last 10 bytes, then all but its length field.
+        for torn_at in [frames.len() - 10, third + 4] {
+            let mut bytes = filled.clone();
+            bytes[WAL_HEADER_LEN..WAL_HEADER_LEN + torn_at].copy_from_slice(&frames[..torn_at]);
+            std::fs::write(&torn_path, &bytes).unwrap();
+            let r = replay(&torn_path).unwrap();
+            assert_eq!(r.rows, vec![rec(20), rec(21)], "torn at {torn_at}");
+            assert!(r.bytes_lost > 0, "torn at {torn_at}");
+            assert!(
+                r.bytes_lost <= (torn_at - third) as u64,
+                "torn at {torn_at}"
+            );
+        }
+        // Garbage anywhere in the fill is not a clean end either.
+        let mut bytes = filled.clone();
+        bytes[WAL_HEADER_LEN..WAL_HEADER_LEN + frames.len()].copy_from_slice(&frames);
+        let stray = bytes.len() - 1;
+        bytes[stray] = 0x5a;
+        std::fs::write(&torn_path, &bytes).unwrap();
+        let r = replay(&torn_path).unwrap();
+        assert_eq!(r.rows, (20..23).map(rec).collect::<Vec<_>>());
+        assert_eq!(
+            r.bytes_lost,
+            (stray + 1 - WAL_HEADER_LEN - frames.len()) as u64
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

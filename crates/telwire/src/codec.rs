@@ -52,10 +52,37 @@ pub enum Event {
     Command(u8),
 }
 
+/// Longest subnegotiation payload accepted. The options this dialogue
+/// meets carry a few bytes (NAWS: 4, TTYPE: a terminal name); a longer
+/// one is an attack on the buffer, not a terminal.
+pub const MAX_SUBNEGOTIATION: usize = 512;
+
+/// Where [`TelnetCodec`] stopped in the byte stream: a command split
+/// across reads resumes here, so no byte is scanned twice.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum State {
+    #[default]
+    Data,
+    /// After `IAC`.
+    Iac,
+    /// After `IAC <verb>`.
+    Verb(u8),
+    /// After `IAC SB`.
+    SbOption,
+    /// Inside `IAC SB <option> …`.
+    Sb(u8),
+    /// After an `IAC` inside a subnegotiation.
+    SbIac(u8),
+}
+
 /// Incremental IAC parser. Feed bytes, drain events.
 #[derive(Debug, Default)]
 pub struct TelnetCodec {
     buf: Vec<u8>,
+    state: State,
+    /// Payload of the subnegotiation in progress, at most
+    /// [`MAX_SUBNEGOTIATION`] bytes.
+    sb: Vec<u8>,
 }
 
 impl TelnetCodec {
@@ -70,88 +97,66 @@ impl TelnetCodec {
     }
 
     /// Extracts as many complete events as possible. Data bytes are
-    /// coalesced into one `Data` event per call segment.
+    /// coalesced into one `Data` event per call segment. A partial
+    /// command waits in the parser state for the next call; a
+    /// subnegotiation longer than [`MAX_SUBNEGOTIATION`] is an error.
     pub fn drain(&mut self) -> Result<Vec<Event>, TelnetError> {
         let mut events = Vec::new();
         let mut data = Vec::new();
-        let mut i = 0;
-        let buf = std::mem::take(&mut self.buf);
-        while i < buf.len() {
-            let b = buf[i];
-            if b != IAC {
-                data.push(b);
-                i += 1;
-                continue;
-            }
-            // An IAC at the very end may be a partial command: stash it.
-            let Some(&next) = buf.get(i + 1) else {
-                self.buf = buf[i..].to_vec();
-                break;
-            };
-            match next {
-                IAC => {
+        let mut buf = std::mem::take(&mut self.buf);
+        for &b in &buf {
+            self.state = match (self.state, b) {
+                (State::Data, IAC) => State::Iac,
+                (State::Data, b) => {
+                    data.push(b);
+                    State::Data
+                }
+                (State::Iac, IAC) => {
                     // Escaped 255 data byte.
                     data.push(IAC);
-                    i += 2;
+                    State::Data
                 }
-                WILL | WONT | DO | DONT => {
-                    let Some(&option) = buf.get(i + 2) else {
-                        self.buf = buf[i..].to_vec();
-                        break;
-                    };
-                    flush_data(&mut events, &mut data);
-                    events.push(Event::Negotiate { verb: next, option });
-                    i += 3;
-                }
-                SB => {
-                    // Scan for IAC SE.
-                    let Some(&option) = buf.get(i + 2) else {
-                        self.buf = buf[i..].to_vec();
-                        break;
-                    };
-                    let mut j = i + 3;
-                    let mut payload = Vec::new();
-                    let mut terminated = false;
-                    while j < buf.len() {
-                        if buf[j] == IAC {
-                            match buf.get(j + 1) {
-                                Some(&SE) => {
-                                    terminated = true;
-                                    j += 2;
-                                    break;
-                                }
-                                Some(&IAC) => {
-                                    payload.push(IAC);
-                                    j += 2;
-                                }
-                                Some(_) => {
-                                    return Err(TelnetError::Protocol(
-                                        "bad byte inside subnegotiation".into(),
-                                    ))
-                                }
-                                None => break,
-                            }
-                        } else {
-                            payload.push(buf[j]);
-                            j += 1;
-                        }
-                    }
-                    if !terminated {
-                        self.buf = buf[i..].to_vec();
-                        break;
-                    }
-                    flush_data(&mut events, &mut data);
-                    events.push(Event::Subnegotiation { option, payload });
-                    i = j;
-                }
-                cmd => {
+                (State::Iac, WILL | WONT | DO | DONT) => State::Verb(b),
+                (State::Iac, SB) => State::SbOption,
+                (State::Iac, cmd) => {
                     flush_data(&mut events, &mut data);
                     events.push(Event::Command(cmd));
-                    i += 2;
+                    State::Data
                 }
-            }
+                (State::Verb(verb), option) => {
+                    flush_data(&mut events, &mut data);
+                    events.push(Event::Negotiate { verb, option });
+                    State::Data
+                }
+                (State::SbOption, option) => State::Sb(option),
+                (State::Sb(option), IAC) => State::SbIac(option),
+                (State::Sb(option), b) | (State::SbIac(option), b @ IAC) => {
+                    if self.sb.len() >= MAX_SUBNEGOTIATION {
+                        return Err(TelnetError::Protocol(format!(
+                            "subnegotiation exceeds {MAX_SUBNEGOTIATION} bytes"
+                        )));
+                    }
+                    self.sb.push(b);
+                    State::Sb(option)
+                }
+                (State::SbIac(option), SE) => {
+                    flush_data(&mut events, &mut data);
+                    events.push(Event::Subnegotiation {
+                        option,
+                        payload: std::mem::take(&mut self.sb),
+                    });
+                    State::Data
+                }
+                (State::SbIac(_), _) => {
+                    return Err(TelnetError::Protocol(
+                        "bad byte inside subnegotiation".into(),
+                    ))
+                }
+            };
         }
         flush_data(&mut events, &mut data);
+        buf.clear();
+        self.buf = buf;
         Ok(events)
     }
 }
@@ -263,6 +268,44 @@ mod tests {
                 payload: vec![0, 80, 0, 24]
             }]
         );
+    }
+
+    #[test]
+    fn subnegotiation_split_byte_by_byte_resumes() {
+        let mut c = TelnetCodec::new();
+        let mut events = Vec::new();
+        for &b in &[IAC, SB, opt::TTYPE, 0, b'v', IAC, IAC, b't', IAC, SE] {
+            c.input(&[b]);
+            events.extend(c.drain().unwrap());
+        }
+        assert_eq!(
+            events,
+            vec![Event::Subnegotiation {
+                option: opt::TTYPE,
+                payload: vec![0, b'v', IAC, b't']
+            }]
+        );
+    }
+
+    #[test]
+    fn unterminated_subnegotiation_flood_is_bounded_and_fails() {
+        const CHUNK: usize = 4096;
+        let mut c = TelnetCodec::new();
+        c.input(&[IAC, SB, opt::TTYPE]);
+        assert_eq!(c.drain().unwrap(), vec![]);
+        let chunk = [b'x'; CHUNK];
+        let mut errors = 0;
+        for _ in 0..(1 << 20) / CHUNK {
+            c.input(&chunk);
+            if c.drain().is_err() {
+                errors += 1;
+                break;
+            }
+            assert!(c.buf.is_empty(), "drain consumes every byte it is fed");
+            assert!(c.sb.len() <= MAX_SUBNEGOTIATION);
+        }
+        assert_eq!(errors, 1, "the payload past the cap fails the stream");
+        assert!(c.sb.len() <= MAX_SUBNEGOTIATION);
     }
 
     #[test]

@@ -27,6 +27,10 @@ enum Phase {
 /// (matching the common `login: incorrect` triple-try behaviour).
 const MAX_AUTH_TRIES: usize = 3;
 
+/// Longest input line (login, password or command) accepted. Loader
+/// bots send long `echo -ne '\x..'` lines, but nothing near this.
+pub const MAX_LINE: usize = 8192;
+
 /// The Telnet server endpoint.
 pub struct TelnetServer<H: TelnetHandler> {
     handler: H,
@@ -96,13 +100,22 @@ impl<H: TelnetHandler> TelnetServer<H> {
             .extend_from_slice(&codec::escape_data(s.as_bytes()));
     }
 
-    /// Feeds client bytes.
+    /// Feeds client bytes. A malformed stream, an over-long
+    /// subnegotiation or a line longer than [`MAX_LINE`] closes the
+    /// session with an error; input after the close is discarded.
     pub fn input(&mut self, data: &[u8]) -> Result<(), TelnetError> {
+        if self.phase == Phase::Closed {
+            return Ok(());
+        }
         self.codec.input(data);
-        for ev in self.codec.drain()? {
+        let events = self
+            .codec
+            .drain()
+            .inspect_err(|_| self.phase = Phase::Closed)?;
+        for ev in events {
             match ev {
                 Event::Negotiate { verb, option } => self.negotiate(verb, option),
-                Event::Data(bytes) => self.data(&bytes),
+                Event::Data(bytes) => self.data(&bytes)?,
                 Event::Subnegotiation { .. } | Event::Command(_) => {}
             }
         }
@@ -124,7 +137,7 @@ impl<H: TelnetHandler> TelnetServer<H> {
         }
     }
 
-    fn data(&mut self, bytes: &[u8]) {
+    fn data(&mut self, bytes: &[u8]) -> Result<(), TelnetError> {
         for &b in bytes {
             match b {
                 b'\r' => {}
@@ -133,9 +146,16 @@ impl<H: TelnetHandler> TelnetServer<H> {
                     self.line.clear();
                     self.on_line(line.trim_end());
                 }
+                _ if self.line.len() >= MAX_LINE => {
+                    self.phase = Phase::Closed;
+                    return Err(TelnetError::Protocol(format!(
+                        "input line exceeds {MAX_LINE} bytes"
+                    )));
+                }
                 _ => self.line.push(b),
             }
         }
+        Ok(())
     }
 
     fn on_line(&mut self, line: &str) {
@@ -250,6 +270,50 @@ mod tests {
         s.input(&[codec::IAC, DO, 99]).unwrap();
         let out = s.take_output();
         assert!(out.windows(3).any(|w| w == codec::negotiate(WONT, 99)));
+    }
+
+    #[test]
+    fn newline_free_flood_is_bounded_and_closes() {
+        const CHUNK: usize = 4096;
+        let mut s = srv();
+        let chunk = [b'x'; CHUNK];
+        let mut errors = 0;
+        for _ in 0..(1 << 20) / CHUNK {
+            if s.input(&chunk).is_err() {
+                errors += 1;
+            }
+            assert!(s.line.len() <= MAX_LINE, "line grew to {}", s.line.len());
+        }
+        assert_eq!(errors, 1, "the first over-long line fails the session");
+        assert!(s.is_closed());
+    }
+
+    #[test]
+    fn subnegotiation_flood_is_bounded_and_closes() {
+        const CHUNK: usize = 4096;
+        let mut s = srv();
+        s.input(&[codec::IAC, codec::SB, opt::TTYPE]).unwrap();
+        let chunk = [b'x'; CHUNK];
+        let mut errors = 0;
+        for _ in 0..(1 << 20) / CHUNK {
+            if s.input(&chunk).is_err() {
+                errors += 1;
+            }
+        }
+        assert_eq!(errors, 1, "the payload past the cap fails the session");
+        assert!(s.is_closed());
+        assert!(s.line.is_empty(), "no subnegotiation byte became data");
+    }
+
+    #[test]
+    fn a_long_command_line_below_the_cap_still_runs() {
+        let mut s = srv();
+        s.input(b"root\r\nadmin\r\n").unwrap();
+        let cmd = format!("echo {}", "a".repeat(MAX_LINE - 5));
+        s.input(cmd.as_bytes()).unwrap();
+        s.input(b"\r\n").unwrap();
+        assert_eq!(s.exec_log(), [cmd.as_str()]);
+        assert!(!s.is_closed());
     }
 
     #[test]

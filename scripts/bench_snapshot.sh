@@ -8,7 +8,7 @@
 #     throughput (crates/bench/benches/classify.rs).
 #   BENCH_cluster.json  — interned/triangular-vs-naive §6 clustering
 #     end-to-end (matrix build + k-sweep; crates/bench/benches/cluster.rs).
-#   BENCH_serve.json    — reactor-vs-polled serve throughput over real
+#   BENCH_serve.json    — reactor-shard serve throughput over real
 #     loopback sockets under the barrage load harness
 #     (crates/bench/benches/serve.rs).
 set -euo pipefail
@@ -26,7 +26,7 @@ cargo bench -p honeylab-bench --bench cluster -- --json "$PWD/BENCH_cluster.json
 echo "== bench snapshot: wrote BENCH_cluster.json =="
 cat BENCH_cluster.json
 
-echo "== bench snapshot: serve (reactor vs polled, barrage load) =="
+echo "== bench snapshot: serve (reactor shards, barrage load) =="
 cargo bench -p honeylab-bench --bench serve -- --json "$PWD/BENCH_serve.json"
 
 echo "== bench snapshot: wrote BENCH_serve.json =="

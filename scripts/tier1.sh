@@ -156,7 +156,7 @@ if [ "$live_tax" != "$batch_tax" ]; then
 fi
 rm -rf "$bar_dir"
 
-echo "== tier1: serve bench smoke (reactor + polled, zero shed) =="
+echo "== tier1: serve bench smoke (reactor shards, zero shed) =="
 cargo bench -p honeylab-bench --bench serve -- --smoke
 
 echo "== tier1: OK =="

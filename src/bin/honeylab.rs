@@ -38,7 +38,7 @@ use honeylab::core::{report, AnalysisBuilder, AnalysisReport, ReportKind, Sessio
 use honeylab::honeypot::to_cowrie_log;
 use honeylab::prelude::*;
 use honeylab::serve::barrage::{self, BarrageConfig, BarrageReport, LoadMode};
-use honeylab::serve::{signal, Engine, ServeConfig, Server};
+use honeylab::serve::{signal, ServeConfig, Server};
 use honeylab::sessiondb::{
     is_sessiondb_path, needs_recovery, recover, recovery_preview, FsyncPolicy, Store, StoreWriter,
 };
@@ -90,8 +90,6 @@ fn main() {
                  \x20        [--bind ADDR] [--store DIR]     bind address; spill sessions to a sessiondb store\n\
                  \x20        [--max-conns N] [--per-ip N]    admission limits (shed at accept time)\n\
                  \x20        [--workers N]                   worker shards (default: CPU count)\n\
-                 \x20        [--engine reactor|polled]       shard engine: epoll reactor (default) or the\n\
-                 \x20                                        legacy polling loop (bench baseline)\n\
                  \x20        [--idle-secs N] [--session-secs N] [--drain-secs N] [--stats-secs N]\n\
                  \x20        [--fsync-every N]               WAL fsync cadence: 1 = every record (default),\n\
                  \x20                                        N>1 = every N records, 0 = never (OS page cache only)\n\
@@ -609,11 +607,8 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, i32> {
     if let Some(n) = parse_flag(args, "--workers")? {
         cfg.workers = n;
     }
-    if let Some(s) = flag(args, "--engine") {
-        cfg.engine = Engine::parse(&s).ok_or_else(|| {
-            eprintln!("invalid --engine '{s}' (expected reactor or polled)");
-            2
-        })?;
+    if flag(args, "--engine").is_some() {
+        eprintln!("warning: --engine is ignored: the epoll reactor is the only shard engine");
     }
     cfg.http_port = parse_flag(args, "--http-port")?;
     if let Some(n) = parse_flag(args, "--http-workers")? {
